@@ -73,19 +73,15 @@ from .paths import (
     path_reward,
 )
 from .lq import (
-    EulerPath,
     GridSpec,
-    LQParams,
     ProbeReport,
     almost_optimality_slack,
-    euler_path,
     feedback_trajectory,
     finite_horizon_kernel,
     gradient,
     horofunction,
     horofunction_field,
     optimal_horizon,
-    path_action,
     stable_quadratic,
     star_kernel,
     star_kernel_origin,

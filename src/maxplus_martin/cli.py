@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .contours import horosphere_contour, polylines_to_svg
+from .contours import horosphere_contour, polylines_to_csv, polylines_to_svg
 from .errors import BothEndpointsZero, DimensionMismatch, EmptyContour, MaxPlusError
 from .fileio import (
     canonical_json,
@@ -293,18 +293,19 @@ def cmd_lq_horofunction(args) -> int:
     return 0
 
 
-def _verify_target(args):
-    if args.target == "stable":
+def _potential(name: str, n, lam: float):
+    """Field of a named potential; 'horofunction' needs the direction n."""
+    if name == "stable":
         return stable_quadratic
-    if args.target == "unstable":
+    if name == "unstable":
         return unstable_quadratic
-    if args.n is None:
-        raise DimensionMismatch("target 'horofunction' needs --n")
-    return horofunction_field(_unit(args.n), args.lam)
+    if n is None:
+        raise DimensionMismatch(f"potential '{name}' needs --n")
+    return horofunction_field(_unit(n), lam)
 
 
 def cmd_lq_verify(args) -> int:
-    h = _verify_target(args)
+    h = _potential(args.target, args.n, args.lam)
     rng = np.random.default_rng(args.seed)
     probes = rng.uniform(-args.radius, args.radius, size=(args.probes, args.dim))
     grid = None
@@ -334,14 +335,7 @@ def cmd_lq_verify(args) -> int:
 
 
 def cmd_lq_flow(args) -> int:
-    if args.h == "stable":
-        h = stable_quadratic
-    elif args.h == "unstable":
-        h = unstable_quadratic
-    else:
-        if args.n is None:
-            raise DimensionMismatch("potential 'horofunction' needs --n")
-        h = horofunction_field(_unit(args.n), args.lam)
+    h = _potential(args.h, args.n, args.lam)
     times, points = feedback_trajectory(h, args.x0, args.duration, args.step)
     # the ascent field doubles the optimal feedback (u* = grad h / 2), so
     # the flow runs the optimal arc at twice control speed; the slack is
@@ -358,18 +352,6 @@ def cmd_lq_flow(args) -> int:
         "points": [[float(c) for c in p] for p in points],
     })
     return 0
-
-
-def _horosphere_csv(levelsets) -> str:
-    rows = ["level,x,y"]
-    for level, polylines in levelsets:
-        for line in polylines:
-            for p in line:
-                rows.append(f"{level:.12g},{p[0]:.12g},{p[1]:.12g}")
-            rows.append("")
-    while rows and not rows[-1]:
-        rows.pop()
-    return "\n".join(rows) + "\n"
 
 
 def cmd_lq_horosphere(args) -> int:
@@ -408,7 +390,7 @@ def cmd_lq_horosphere(args) -> int:
         if args.format == "svg":
             text = polylines_to_svg(levelsets, args.bbox)
         else:
-            text = _horosphere_csv(levelsets)
+            text = polylines_to_csv(levelsets)
         with open(path, "w") as fh:
             fh.write(text)
         written.append(path)
@@ -584,17 +566,17 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    warnings.showwarning = _show_warning
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.run(args)
-    except MaxPlusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        args = build_parser().parse_args(argv)
+        try:
+            return args.run(args)
+        except MaxPlusError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except (OSError, json.JSONDecodeError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

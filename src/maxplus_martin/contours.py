@@ -128,13 +128,19 @@ def horosphere_contour(h, level, bbox: Bbox, resolution: int = 256) -> list[np.n
     return polylines
 
 
-def polylines_to_csv(polylines) -> str:
-    """Blank-line separated blocks, one polyline each, columns x,y."""
-    blocks = []
-    for line in polylines:
-        rows = [f"{p[0]:.12g},{p[1]:.12g}" for p in line]
-        blocks.append("\n".join(rows))
-    return "\n\n".join(blocks) + "\n"
+def polylines_to_csv(levelsets) -> str:
+    """Columns level,x,y under a header; a blank line ends each polyline.
+
+    levelsets is a sequence of (level, polylines) pairs, as for the SVG.
+    """
+    rows = ["level,x,y"]
+    for level, polylines in levelsets:
+        for line in polylines:
+            rows.extend(f"{level:.12g},{p[0]:.12g},{p[1]:.12g}" for p in line)
+            rows.append("")
+    while not rows[-1]:
+        rows.pop()
+    return "\n".join(rows) + "\n"
 
 
 def polylines_to_svg(levelsets, bbox: Bbox, size: int = 640) -> str:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch
 from .kernel import KernelMatrix
-from .semiring import NEG_INF, POS_INF, Value, is_finite, parse_value
+from .semiring import NEG_INF, POS_INF, Value, format_value, parse_value
 
 
 def value_to_json(v: Value):
@@ -43,17 +43,6 @@ def value_from_json(raw) -> Value:
     return parse_value(raw)
 
 
-def format_float(x: float) -> str:
-    """12 significant digits, no trailing noise; ints render as ints."""
-    if x != x:
-        return "nan"
-    if math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return f"{x:.12g}"
-
-
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return value_to_json(obj)
@@ -71,9 +60,8 @@ def canonical_json(payload) -> str:
         if isinstance(node, (list, tuple)):
             return [walk(v) for v in node]
         if isinstance(node, float):
-            if not math.isfinite(node):
-                return format_float(node)
-            return json.loads(format_float(node))
+            text = format_value(node)
+            return json.loads(text) if math.isfinite(node) else text
         return node
 
     return json.dumps(walk(payload), default=_json_default, indent=2) + "\n"
@@ -136,14 +124,9 @@ def save_kernel_csv(kernel: KernelMatrix, path: str) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + list(kernel.states))
     for label, row in zip(kernel.states, kernel.entries):
-        writer.writerow([label] + [_csv_cell(v) for v in row])
+        writer.writerow([label] + [format_value(v) for v in row])
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
-
-
-def _csv_cell(v: Value) -> str:
-    j = value_to_json(v)
-    return j if isinstance(j, str) else (format_float(j) if isinstance(j, float) else str(j))
 
 
 def load_kernel(path: str) -> KernelMatrix:
@@ -171,11 +154,3 @@ def function_to_dict(kernel: KernelMatrix, values) -> dict:
     if len(values) != kernel.n:
         raise DimensionMismatch("function length does not match the kernel")
     return {s: value_to_json(v) for s, v in zip(kernel.states, values)}
-
-
-def value_report(v: Value):
-    """Scalar for a JSON report: exact ints, floats, or an infinity token."""
-    if not is_finite(v):
-        return value_to_json(v)
-    j = value_to_json(v)
-    return j

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     BothEndpointsZero,
@@ -38,19 +37,9 @@ from .parallel import parallel_map
 
 Field = Callable[[np.ndarray], np.ndarray]
 
-
-@dataclass(frozen=True)
-class LQParams:
-    """Problem configuration: ambient dimension and spectral shift."""
-
-    dim: int
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionMismatch("dimension must be at least 1")
-        if self.lam < 0:
-            raise DimensionMismatch("spectral shift must be nonnegative")
+# largest sweep grid verify_harmonic_lq will build: 1801^2 (the widest
+# 2-D window in use) fits, while a 1601^3 default in 3-D would need ~100 GB
+MAX_GRID_POINTS = 4_000_000
 
 
 def _vec(x) -> np.ndarray:
@@ -86,64 +75,6 @@ def finite_horizon_kernel(x, y, t, lam=0.0):
     cm1 = 2.0 * np.sinh(t / 2.0) ** 2
     val = -(d2 + s2 * cm1) / np.sinh(t) - lam * t
     return float(val) if np.ndim(val) == 0 else val
-
-
-@dataclass(frozen=True, eq=False)
-class EulerPath:
-    """Extremal arc x(t) = W e^t + Z e^{-t} on [0, horizon]."""
-
-    w: np.ndarray
-    z: np.ndarray
-    horizon: float
-
-    def position(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.multiply.outer(np.exp(t), self.w) + np.multiply.outer(
-            np.exp(-t), self.z
-        )
-
-    def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.multiply.outer(np.exp(t), self.w) - np.multiply.outer(
-            np.exp(-t), self.z
-        )
-
-    def sample(self, num: int):
-        """num+1 equally spaced times and positions covering [0, horizon]."""
-        times = np.linspace(0.0, self.horizon, num + 1)
-        return times, self.position(times)
-
-
-def euler_path(x, y, horizon) -> EulerPath:
-    """The unique extremal arc from x to y in the given time."""
-    horizon = float(horizon)
-    if horizon <= 0:
-        raise NonpositiveHorizon("horizon must be strictly positive")
-    x = _vec(x)
-    y = _vec(y)
-    if x.shape != y.shape:
-        raise DimensionMismatch("endpoints must share a dimension")
-    denom = math.exp(horizon) - math.exp(-horizon)
-    w = (y - math.exp(-horizon) * x) / denom
-    z = (math.exp(horizon) * x - y) / denom
-    return EulerPath(w=w, z=z, horizon=horizon)
-
-
-def path_action(path: EulerPath, lam=0.0, epsabs=1e-11) -> float:
-    """Reward of the arc by adaptive quadrature of -(|x|^2 + |xdot|^2 + lam).
-
-    Deliberately numeric; serves as the independent check on the
-    closed-form kernel.
-    """
-    lam = _check_lam(lam)
-
-    def integrand(t):
-        p = path.position(t)
-        v = path.velocity(t)
-        return float(p @ p + v @ v) + lam
-
-    val, _ = quad(integrand, 0.0, path.horizon, epsabs=epsabs, limit=200)
-    return -val
 
 
 def optimal_horizon(x, y, lam=0.0) -> float:
@@ -296,9 +227,12 @@ class GridSpec:
         if self.spacing > self.half_width:
             raise DimensionMismatch("grid spacing exceeds its half width")
 
+    def count(self) -> int:
+        """Nodes per axis."""
+        return int(round(2.0 * self.half_width / self.spacing)) + 1
+
     def axis(self) -> np.ndarray:
-        count = int(round(2.0 * self.half_width / self.spacing)) + 1
-        return np.linspace(-self.half_width, self.half_width, count)
+        return np.linspace(-self.half_width, self.half_width, self.count())
 
 
 @dataclass(frozen=True)
@@ -341,6 +275,11 @@ def verify_harmonic_lq(
     if grid is None:
         reach = float(np.max(np.abs(pts))) if pts.size else 1.0
         grid = GridSpec(half_width=max(1.0, 4.0 * reach), spacing=0.01)
+    if grid.count() ** dim > MAX_GRID_POINTS:
+        raise DimensionMismatch(
+            f"sweep grid of {grid.count()}^{dim} points exceeds "
+            f"{MAX_GRID_POINTS}; widen the spacing or narrow the half width"
+        )
     axis = grid.axis()
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     ygrid = np.stack([m.reshape(-1) for m in mesh], axis=-1)

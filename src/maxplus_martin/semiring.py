@@ -161,21 +161,21 @@ def parse_value(token) -> Value:
 
 
 def format_value(v: Value) -> str:
-    """Render a scalar for text output; integers round trip bit exactly."""
+    """Render a scalar for text output with 12 significant digits.
+
+    Integers round trip bit exactly; integral floats below 1e15 print as
+    integers, and float infinities and NaN as the tokens inf, -inf, nan.
+    """
+    if isinstance(v, float):
+        if v != v:
+            return "nan"
+        if math.isinf(v):
+            return "-inf" if v < 0 else "inf"
+        if v == int(v) and abs(v) < 1e15:
+            return str(int(v))
+        return f"{v:.12g}"
     if isinstance(v, _Infinite):
         return repr(v)
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return format(float(v), ".12g")
-    if isinstance(v, float):
-        return format(v, ".12g")
+    if isinstance(v, Fraction) and v.denominator != 1:
+        return format_value(float(v))
     return str(v)
-
-
-def to_float(v: Value) -> float:
-    if v is NEG_INF:
-        return float("-inf")
-    if v is POS_INF:
-        return float("inf")
-    return float(v)

@@ -19,7 +19,6 @@ from maxplus_martin import (
     DiscretePath,
     GridSpec,
     downhill_path,
-    euler_path,
     finite_horizon_kernel,
     geodesic_limit,
     horofunction,
@@ -33,7 +32,6 @@ from maxplus_martin import (
     optimal_horizon,
     otimes,
     path_J,
-    path_action,
     represent,
     spectral_measure,
     stable_quadratic,
@@ -42,7 +40,13 @@ from maxplus_martin import (
 )
 from maxplus_martin.cli import main as cli_main
 from maxplus_martin.martin import is_extremal
-from oracles import as_raw, brute_star, stationary_horizon, sweep_star
+from oracles import (
+    action_simpson,
+    as_raw,
+    brute_star,
+    stationary_horizon,
+    sweep_star,
+)
 
 LAMBDAS = (0.0, 0.5, 1.0)
 
@@ -169,7 +173,7 @@ def test_criterion_03_worked_value_minus_three():
     assert abs(horizon - math.log(2.0)) <= 1e-12
     substituted = finite_horizon_kernel(x, y, horizon)
     assert abs(substituted + 3.0) <= 1e-12
-    quadrature = path_action(euler_path(x, y, horizon))
+    quadrature = action_simpson(x, y, horizon)
     assert abs(quadrature + 3.0) <= 1e-9
     print(
         "criterion 03: PASS (A*((1,0),(2,0)) = -3 by closed form, "

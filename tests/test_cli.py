@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -149,10 +152,12 @@ def test_star_warns_on_nonfinite_star(capsys, tmp_path):
         "states": ["a", "b"],
         "matrix": [[0, 0], ["-inf", 0]],
     }))
+    hook = warnings.showwarning
     code, out, err = run(capsys, "star", str(gap))
     assert code == 0
     assert json.loads(out)["finite"] is False
     assert "warning:" in err
+    assert warnings.showwarning is hook, "main() restores the warning hook"
     code, _, err = run(capsys, "martin", str(gap))
     assert code == 2
 
@@ -262,3 +267,26 @@ def test_unknown_command_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["definitely-not-a-command"])
     assert info.value.code == 1
+
+
+GRID_GUARD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from maxplus_martin.cli import main
+sys.exit(main(["lq-verify", "--target", "stable", "--dim", "3"]))
+"""
+
+
+def test_lq_verify_refuses_an_oversized_grid():
+    # default window in 3-D: ~1600^3 nodes, ~100 GB; the address-space cap
+    # turns an unguarded allocation into a fast MemoryError traceback
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", GRID_GUARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: sweep grid of ")
+    assert "^3 points exceeds" in proc.stderr
+    assert proc.stderr.count("\n") == 1

@@ -69,11 +69,14 @@ def test_chaining_orders_are_deterministic():
 
 def test_csv_blocks():
     lines = [np.array([[0.0, 1.0], [0.5, 1.25]]), np.array([[2.0, 2.0], [3.0, 2.5]])]
-    text = polylines_to_csv(lines)
-    blocks = text.strip().split("\n\n")
-    assert len(blocks) == 2
-    assert blocks[0].splitlines() == ["0,1", "0.5,1.25"]
-    assert text.endswith("\n")
+    text = polylines_to_csv([(-1.5, lines), (2.0, lines[:1])])
+    assert text == (
+        "level,x,y\n"
+        "-1.5,0,1\n-1.5,0.5,1.25\n\n"
+        "-1.5,2,2\n-1.5,3,2.5\n\n"
+        "2,0,1\n2,0.5,1.25\n"
+    )
+    assert polylines_to_csv([]) == "level,x,y\n"
 
 
 def test_svg_flips_y_and_tags_levels():

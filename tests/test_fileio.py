@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from maxplus_martin import DimensionMismatch, KernelMatrix, NEG_INF, POS_INF
+from maxplus_martin.semiring import format_value
 from maxplus_martin.fileio import (
     canonical_json,
-    format_float,
     function_to_dict,
     kernel_from_dict,
     kernel_to_dict,
@@ -43,13 +43,14 @@ def test_value_conversions():
 
 
 def test_format_float():
-    assert format_float(3.0) == "3"
-    assert format_float(-0.5) == "-0.5"
-    assert format_float(1 / 3) == "0.333333333333"
-    assert format_float(float("inf")) == "inf"
-    assert format_float(float("-inf")) == "-inf"
-    assert format_float(float("nan")) == "nan"
-    assert format_float(1e16) == "1e+16"
+    # Floats in kernel and function files are written by format_value.
+    assert format_value(3.0) == "3"
+    assert format_value(-0.5) == "-0.5"
+    assert format_value(1 / 3) == "0.333333333333"
+    assert format_value(float("inf")) == "inf"
+    assert format_value(float("-inf")) == "-inf"
+    assert format_value(float("nan")) == "nan"
+    assert format_value(1e16) == "1e+16"
 
 
 def test_canonical_json_is_stable_and_readable():
@@ -62,6 +63,10 @@ def test_canonical_json_is_stable_and_readable():
     assert data["b"] == 0.333333333333
     assert data["c"] == 0.25
     assert text.endswith("\n")
+    assert canonical_json({"v": 1e13}) == '{\n  "v": 10000000000000\n}\n'
+    assert canonical_json([float("nan"), float("inf"), float("-inf"), 2.0]) == (
+        '[\n  "nan",\n  "inf",\n  "-inf",\n  2\n]\n'
+    )
 
 
 def test_kernel_json_round_trip(tmp_path):
@@ -95,6 +100,22 @@ def test_kernel_csv_round_trip(tmp_path):
     assert back.states == SAMPLE.states
     assert back.entries == SAMPLE.entries
     assert back.basepoint == 0, "CSV kernels default to the first state"
+    mixed = KernelMatrix(
+        states=("a", "b", "c"),
+        entries=[
+            [7, Fraction(1, 2), Fraction(6, 3)],
+            [-0.125, NEG_INF, 2.0],
+            [0, 1e13, -3],
+        ],
+    )
+    save_kernel_csv(mixed, str(path))
+    assert path.read_text() == (
+        ",a,b,c\na,7,0.5,2\nb,-0.125,-inf,2\nc,0,10000000000000,-3\n"
+    )
+    back = load_kernel_csv(str(path))
+    assert back.entries == ((7, 0.5, 2), (-0.125, NEG_INF, 2), (0, 10**13, -3))
+    assert back.entries[1][1] is NEG_INF
+    assert all(isinstance(v, int) for v in (back.entries[0][2], back.entries[2][1]))
 
 
 def test_kernel_csv_validation(tmp_path):

@@ -15,23 +15,19 @@ from oracles import (
 from maxplus_martin import (
     BothEndpointsZero,
     DimensionMismatch,
-    EulerPath,
     GradientSingularity,
     GridSpec,
     GridTooSmall,
-    LQParams,
     NonUnitDirection,
     NonpositiveHorizon,
     NonpositiveLambda,
     almost_optimality_slack,
-    euler_path,
     feedback_trajectory,
     finite_horizon_kernel,
     gradient,
     horofunction,
     horofunction_field,
     optimal_horizon,
-    path_action,
     stable_quadratic,
     star_kernel,
     star_kernel_origin,
@@ -53,14 +49,6 @@ def endpoint_pairs(draw, max_dim=3):
     x = vec([draw(coords) for _ in range(d)])
     y = vec([draw(coords) for _ in range(d)])
     return x, y
-
-
-def test_params_validation():
-    with pytest.raises(DimensionMismatch):
-        LQParams(dim=0)
-    with pytest.raises(DimensionMismatch):
-        LQParams(dim=2, lam=-1)
-    assert LQParams(dim=3, lam=0.5).lam == 0.5
 
 
 @given(endpoint_pairs(), st.floats(0.05, 5), lams)
@@ -110,28 +98,6 @@ def test_kernel_equals_action_of_euler_arc(pair, t, lam):
     x, y = pair
     got = finite_horizon_kernel(x, y, t, lam)
     assert got == pytest.approx(action_simpson(x, y, t, lam), abs=1e-7)
-
-
-def test_euler_path_hits_its_endpoints():
-    x = np.array([1.0, -2.0])
-    y = np.array([0.5, 0.5])
-    path = euler_path(x, y, 1.5)
-    assert np.allclose(path.position(0.0), x, atol=1e-12)
-    assert np.allclose(path.position(1.5), y, atol=1e-12)
-    ts, pos = path.sample(7)
-    assert ts.shape == (8,) and pos.shape == (8, 2)
-    assert np.allclose(pos[0], x) and np.allclose(pos[-1], y)
-    assert isinstance(path, EulerPath)
-
-
-@given(endpoint_pairs(max_dim=2), st.floats(0.1, 3), lams)
-@settings(max_examples=20)
-def test_path_action_matches_kernel(pair, t, lam):
-    x, y = pair
-    path = euler_path(x, y, t)
-    assert path_action(path, lam) == pytest.approx(
-        finite_horizon_kernel(x, y, t, lam), abs=1e-8
-    )
 
 
 @given(endpoint_pairs(max_dim=2), st.floats(0.2, 3), lams,
