@@ -305,6 +305,8 @@ def _potential(name: str, n, lam: float):
 
 
 def cmd_lq_verify(args) -> int:
+    if args.probes < 1:
+        raise DimensionMismatch("--probes must be at least 1")
     h = _potential(args.target, args.n, args.lam)
     rng = np.random.default_rng(args.seed)
     probes = rng.uniform(-args.radius, args.radius, size=(args.probes, args.dim))

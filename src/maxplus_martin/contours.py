@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyContour
+from .lq import MAX_GRID_POINTS
 
 Bbox = tuple[float, float, float, float]
 
@@ -23,6 +24,11 @@ def _axes(bbox: Bbox, resolution: int):
         raise DimensionMismatch("bounding box must have positive extent")
     if resolution < 16:
         raise DimensionMismatch("resolution must be at least 16 cells per axis")
+    if (resolution + 1) ** 2 > MAX_GRID_POINTS:
+        raise DimensionMismatch(
+            f"contour grid of {resolution + 1}^2 points exceeds "
+            f"{MAX_GRID_POINTS}; lower the resolution"
+        )
     xs = np.linspace(xmin, xmax, resolution + 1)
     ys = np.linspace(ymin, ymax, resolution + 1)
     return xs, ys

@@ -25,6 +25,7 @@ from .errors import (
 from .semiring import (
     NEG_INF,
     POS_INF,
+    TOL,
     Value,
     coerce_value,
     is_finite,
@@ -72,6 +73,19 @@ class KernelMatrix:
     def n(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def tol(self) -> float:
+        """Float slack of every comparison on this kernel: TOL + n^2 max|a| 2^-52.
+
+        A cycle sums up to n entries, each off by the rounding of a Karp mean
+        over up to n entries.  Comparisons stay exact on int and Fraction.
+        """
+        top = max(
+            (abs(v) for row in self.entries for v in row if isinstance(v, float)),
+            default=0.0,
+        )
+        return TOL + self.n**2 * top * 2.0**-52
+
     def index(self, label: str) -> int:
         try:
             return self.states.index(str(label))
@@ -117,25 +131,24 @@ def matrix_power(kernel: KernelMatrix, t: int) -> KernelMatrix:
     return KernelMatrix(kernel.states, result, kernel.basepoint)
 
 
-def apply(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
-    """Act on a function: (A g)(x) = max_y A<x,y> + g(y)."""
+def _function(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
     if len(g) != kernel.n:
         raise DimensionMismatch(
             f"function has {len(g)} values for {kernel.n} states"
         )
     try:
-        g = [coerce_value(v) for v in g]
+        return tuple(coerce_value(v) for v in g)
     except ValueError as exc:
         raise DimensionMismatch(str(exc)) from None
-    out = []
-    for row in kernel.entries:
-        best = NEG_INF
-        for a, v in zip(row, g):
-            w = otimes(a, v)
-            if best < w:
-                best = w
-        out.append(best)
-    return tuple(out)
+
+
+def apply(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
+    """Act on a function: (A g)(x) = max_y A<x,y> + g(y)."""
+    return _image(kernel, _function(kernel, g))
+
+
+def _image(kernel: KernelMatrix, g: tuple[Value, ...]) -> tuple[Value, ...]:
+    return tuple(max(map(otimes, row, g)) for row in kernel.entries)
 
 
 def max_cycle_mean(kernel: KernelMatrix) -> Value:
@@ -207,9 +220,6 @@ class StarMatrix:
     entries: Grid
     source: KernelMatrix
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _freeze(self.entries))
-
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -233,7 +243,8 @@ def kleene_star(kernel: KernelMatrix) -> StarMatrix:
 
     Floyd-Warshall over the max-plus semiring; exact on integer entries.
     Raises PositiveCycle when some cycle has positive weight (the sup
-    would diverge).  A star with -inf entries is legal but flagged with
+    would diverge); a float diagonal within kernel.tol of 0 is rounding
+    and set to 0.  A star with -inf entries is legal but flagged with
     a warning, since the Martin construction refuses such kernels.
     """
     n = kernel.n
@@ -253,7 +264,7 @@ def kleene_star(kernel: KernelMatrix) -> StarMatrix:
                 if rowi[j] < cand:
                     rowi[j] = cand
     for i in range(n):
-        if m[i][i] > 0:
+        if not le_close(m[i][i], 0, kernel.tol):
             raise PositiveCycle(
                 f"cycle through state {kernel.states[i]!r} has positive weight"
             )
@@ -269,29 +280,21 @@ def kleene_star(kernel: KernelMatrix) -> StarMatrix:
 
 
 def _check_candidate(kernel: KernelMatrix, h: Sequence[Value]) -> tuple[Value, ...]:
-    if len(h) != kernel.n:
-        raise DimensionMismatch(
-            f"function has {len(h)} values for {kernel.n} states"
-        )
-    try:
-        h = tuple(coerce_value(v) for v in h)
-    except ValueError as exc:
-        raise DimensionMismatch(str(exc)) from None
-    for v in h:
-        if v is POS_INF:
-            raise DimensionMismatch("harmonic candidates may not take +inf")
+    h = _function(kernel, h)
+    if any(v is POS_INF for v in h):
+        raise DimensionMismatch("harmonic candidates may not take +inf")
     return h
 
 
-def is_harmonic(kernel: KernelMatrix, h: Sequence[Value], tol: float = 1e-9) -> bool:
+def is_harmonic(kernel: KernelMatrix, h: Sequence[Value]) -> bool:
     """Check A h = h.  One step suffices for the whole power semigroup."""
     h = _check_candidate(kernel, h)
-    image = apply(kernel, h)
-    return all(values_close(a, b, tol) for a, b in zip(image, h))
+    tol = kernel.tol
+    return all(values_close(a, b, tol) for a, b in zip(_image(kernel, h), h))
 
 
-def is_superharmonic(kernel: KernelMatrix, h: Sequence[Value], tol: float = 1e-9) -> bool:
+def is_superharmonic(kernel: KernelMatrix, h: Sequence[Value]) -> bool:
     """Check A h <= h pointwise."""
     h = _check_candidate(kernel, h)
-    image = apply(kernel, h)
-    return all(le_close(a, b, tol) for a, b in zip(image, h))
+    tol = kernel.tol
+    return all(le_close(a, b, tol) for a, b in zip(_image(kernel, h), h))

@@ -19,8 +19,6 @@ from .errors import AssumptionViolated, DimensionMismatch, NotHarmonic, NotNorma
 from .kernel import KernelMatrix, StarMatrix, is_harmonic
 from .semiring import NEG_INF, Value, oplus, otimes, values_close
 
-TOL = 1e-9
-
 
 def _require_finite(star: StarMatrix):
     if not star.finite:
@@ -29,7 +27,7 @@ def _require_finite(star: StarMatrix):
         )
 
 
-def recurrence_classes(star: StarMatrix, tol: float = TOL) -> list[list[int]]:
+def recurrence_classes(star: StarMatrix) -> list[list[int]]:
     """Partition of the states by x ~ y iff A*<x,y> + A*<y,x> = 0.
 
     The relation is transitive when equality is exact; with float entries
@@ -46,6 +44,7 @@ def recurrence_classes(star: StarMatrix, tol: float = TOL) -> list[list[int]]:
         return i
 
     e = star.entries
+    tol = star.source.tol
     for x in range(n):
         for y in range(x + 1, n):
             if values_close(otimes(e[x][y], e[y][x]), 0, tol):
@@ -73,7 +72,7 @@ class MartinObject:
         return self.members[0]
 
 
-def martin_kernel(star: StarMatrix, tol: float = TOL) -> list[MartinObject]:
+def martin_kernel(star: StarMatrix) -> list[MartinObject]:
     """Martin columns K<.,y> = A*<.,y> - A*<b,y>, one per recurrence class.
 
     A column is minimal when it is harmonic for the source kernel and its
@@ -84,13 +83,13 @@ def martin_kernel(star: StarMatrix, tol: float = TOL) -> list[MartinObject]:
     b = star.basepoint
     e = star.entries
     objects = []
-    for cid, members in enumerate(recurrence_classes(star, tol)):
+    for cid, members in enumerate(recurrence_classes(star)):
         y = members[0]
         shift = e[b][y]
         column = tuple(e[x][y] - shift for x in range(star.n))
-        harmonic = is_harmonic(star.source, column, tol)
+        harmonic = is_harmonic(star.source, column)
         self_pair = max(otimes(e[b][x], column[x]) for x in members)
-        if not values_close(self_pair, 0, tol):
+        if not values_close(self_pair, 0, star.source.tol):
             raise AssumptionViolated(
                 f"self pairing of class {cid} is {self_pair!r}, expected 0"
             )
@@ -147,22 +146,19 @@ def H(eta: MartinObject, xi: MartinObject, star: StarMatrix) -> Value:
     return mu(xi.column, eta, star)
 
 
-def minimal_martin_space(star: StarMatrix, tol: float = TOL) -> list[MartinObject]:
-    return [obj for obj in martin_kernel(star, tol) if obj.minimal]
+def minimal_martin_space(star: StarMatrix) -> list[MartinObject]:
+    return [obj for obj in martin_kernel(star) if obj.minimal]
 
 
 def spectral_measure(
-    h: Sequence[Value],
-    minimal: Sequence[MartinObject],
-    star: StarMatrix,
-    tol: float = TOL,
+    h: Sequence[Value], minimal: Sequence[MartinObject], star: StarMatrix
 ) -> dict[MartinObject, Value]:
     """Greatest representing measure of a harmonic function.
 
     Raises NotHarmonic unless A h = h for the source kernel.
     """
     _require_finite(star)
-    if not is_harmonic(star.source, h, tol):
+    if not is_harmonic(star.source, h):
         raise NotHarmonic("spectral measures exist only for harmonic functions")
     return {w: mu(h, w, star) for w in minimal}
 
@@ -178,10 +174,7 @@ def represent(nu: Mapping[MartinObject, Value], star: StarMatrix) -> tuple[Value
 
 
 def extremal_witness(
-    h: Sequence[Value],
-    minimal: Sequence[MartinObject],
-    star: StarMatrix,
-    tol: float = TOL,
+    h: Sequence[Value], minimal: Sequence[MartinObject], star: StarMatrix
 ) -> MartinObject | None:
     """Minimal column w with h = mu_h(w) + w pointwise, if one exists.
 
@@ -190,8 +183,9 @@ def extremal_witness(
     exists.
     """
     _require_finite(star)
-    if not is_harmonic(star.source, h, tol):
+    if not is_harmonic(star.source, h):
         raise NotHarmonic("extremality is defined for harmonic functions")
+    tol = star.source.tol
     if not values_close(h[star.basepoint], 0, tol):
         raise NotNormalized("extremality expects h(basepoint) = 0")
     for w in minimal:
@@ -205,9 +199,6 @@ def extremal_witness(
 
 
 def is_extremal(
-    h: Sequence[Value],
-    minimal: Sequence[MartinObject],
-    star: StarMatrix,
-    tol: float = TOL,
+    h: Sequence[Value], minimal: Sequence[MartinObject], star: StarMatrix
 ) -> bool:
-    return extremal_witness(h, minimal, star, tol) is not None
+    return extremal_witness(h, minimal, star) is not None

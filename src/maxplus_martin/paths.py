@@ -22,7 +22,7 @@ from .errors import (
     NotHarmonic,
 )
 from .kernel import KernelMatrix, StarMatrix, is_harmonic, matrix_power
-from .martin import TOL, MartinObject, martin_kernel
+from .martin import MartinObject, martin_kernel
 from .semiring import NEG_INF, POS_INF, Value, le_close, otimes
 
 
@@ -115,7 +115,7 @@ def is_almost_geodesic(
 ) -> bool:
     if eps < 0:
         raise DimensionMismatch("slack must be nonnegative")
-    return le_close(almost_geodesic_excess(kernel, star, path), eps)
+    return le_close(almost_geodesic_excess(kernel, star, path), eps, kernel.tol)
 
 
 def almost_optimal_excess(
@@ -151,7 +151,7 @@ def is_almost_optimal(
         raise DimensionMismatch("almost-optimal paths must start at time 0")
     if eps < 0:
         raise DimensionMismatch("slack must be nonnegative")
-    return le_close(almost_optimal_excess(kernel, path, h), eps)
+    return le_close(almost_optimal_excess(kernel, path, h), eps, kernel.tol)
 
 
 def path_J(star: StarMatrix, path: DiscretePath, s: int, t: int) -> Value:
@@ -175,7 +175,6 @@ def downhill_path(
     start: int,
     eps: Value,
     length: int,
-    tol: float = TOL,
 ) -> DiscretePath:
     """Greedy descent along a harmonic function.
 
@@ -190,7 +189,7 @@ def downhill_path(
         raise DimensionMismatch("length must be nonnegative")
     if not 0 <= start < kernel.n:
         raise DimensionMismatch("start state out of range")
-    if not is_harmonic(kernel, h, tol):
+    if not is_harmonic(kernel, h):
         raise NotHarmonic("downhill construction needs a harmonic function")
     if h[start] is NEG_INF:
         raise HMinusInfinityAtStart(
@@ -212,9 +211,7 @@ def downhill_path(
     return DiscretePath(times=tuple(range(length + 1)), states=tuple(states))
 
 
-def geodesic_limit(
-    path: DiscretePath, star: StarMatrix, eps: Value, tol: float = TOL
-) -> MartinObject:
+def geodesic_limit(path: DiscretePath, star: StarMatrix, eps: Value) -> MartinObject:
     """Limit Martin class of an almost-geodesic, read off the sampled tail.
 
     The class sequence must visibly settle: the last two samples share a
@@ -226,7 +223,7 @@ def geodesic_limit(
         raise NotAlmostGeodesic(
             f"path needs more than eps={eps} slack against the star kernel"
         )
-    objects = martin_kernel(star, tol)
+    objects = martin_kernel(star)
     class_of = {}
     for obj in objects:
         for member in obj.members:

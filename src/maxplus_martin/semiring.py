@@ -67,6 +67,9 @@ POS_INF = _Infinite(+1)
 
 Value = Union[int, float, Fraction, _Infinite]
 
+# Absolute floor of every float comparison; kernels add a relative term.
+TOL = 1e-9
+
 
 def is_finite(a: Value) -> bool:
     return not isinstance(a, _Infinite)
@@ -90,7 +93,7 @@ def otimes(a: Value, b: Value) -> Value:
     return a + b
 
 
-def values_close(a: Value, b: Value, tol: float = 1e-9) -> bool:
+def values_close(a: Value, b: Value, tol: float = TOL) -> bool:
     """Equality test: exact on int/Fraction, absolute tolerance on floats."""
     if isinstance(a, _Infinite) or isinstance(b, _Infinite):
         return a is b
@@ -99,7 +102,7 @@ def values_close(a: Value, b: Value, tol: float = 1e-9) -> bool:
     return a == b
 
 
-def le_close(a: Value, b: Value, tol: float = 1e-9) -> bool:
+def le_close(a: Value, b: Value, tol: float = TOL) -> bool:
     """a <= b, allowing float slack of tol."""
     if isinstance(a, _Infinite) or isinstance(b, _Infinite):
         return a <= b

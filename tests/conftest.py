@@ -34,6 +34,32 @@ def finite_kernels(draw, max_n: int = 5, low: int = -9, high: int = 0):
 
 
 @st.composite
+def float_twins(draw, max_n: int = 8, max_exp: int = 9):
+    """A float kernel with its integer twin, and the unit linking them.
+
+    The twin's entries m are drawn from [-3000, 1000]; the float kernel
+    holds m * 10^k / 1000 rounded once, k <= max_exp, so its entries are
+    3-decimal values in [-3, 1] times a scale factor of up to 10^max_exp.
+    """
+    n = draw(st.integers(2, max_n))
+    scale = 10 ** draw(st.integers(0, max_exp))
+    rows = [
+        [draw(st.integers(-3000, 1000)) for _ in range(n)] for _ in range(n)
+    ]
+    floats = [[m * scale / 1000 for m in row] for row in rows]
+    return (
+        KernelMatrix(states=labels(n), entries=floats),
+        KernelMatrix(states=labels(n), entries=rows),
+        Fraction(scale, 1000),
+    )
+
+
+def float_kernels(max_n: int = 8, max_exp: int = 9):
+    """All-finite float kernels, entries as in float_twins."""
+    return float_twins(max_n, max_exp).map(lambda twins: twins[0])
+
+
+@st.composite
 def sparse_kernels(draw, max_n: int = 5, low: int = -6, high: int = 3):
     """Integer kernels with -inf gaps; cycle weights unconstrained."""
     n = draw(st.integers(2, max_n))

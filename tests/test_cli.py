@@ -269,24 +269,53 @@ def test_unknown_command_exits_one(capsys):
     assert info.value.code == 1
 
 
-GRID_GUARD = """
+CAPPED = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from maxplus_martin.cli import main
-sys.exit(main(["lq-verify", "--target", "stable", "--dim", "3"]))
+sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_lq_verify_refuses_an_oversized_grid():
-    # default window in 3-D: ~1600^3 nodes, ~100 GB; the address-space cap
-    # turns an unguarded allocation into a fast MemoryError traceback
+def run_capped(*argv):
+    """The command line in a subprocess capped at 1 GiB of address space.
+
+    The cap turns an unguarded oversized allocation into a fast
+    MemoryError traceback instead of a real allocation.
+    """
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", GRID_GUARD], env=env,
+    return subprocess.run([sys.executable, "-c", CAPPED, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_lq_verify_refuses_an_oversized_grid():
+    # default window in 3-D: ~1600^3 nodes, ~100 GB
+    proc = run_capped("lq-verify", "--target", "stable", "--dim", "3")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: sweep grid of ")
     assert "^3 points exceeds" in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def test_lq_horosphere_refuses_an_oversized_grid(tmp_path):
+    # 100001^2 nodes, ~75 GiB per sampled field
+    proc = run_capped("lq-horosphere", "--resolution", "100000",
+                      "--out-dir", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: contour grid of 100001^2 points exceeds 4000000; "
+        "lower the resolution\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_lq_verify_refuses_too_few_probes(capsys, count):
+    code, out, err = run(capsys, "lq-verify", "--target", "stable",
+                         "--probes", count)
+    assert code == 1 and out == ""
+    assert err == "error: --probes must be at least 1\n"

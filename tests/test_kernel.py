@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import finite_kernels, labels, normalized_corpus_kernel, sparse_kernels
+from conftest import (
+    finite_kernels,
+    float_kernels,
+    labels,
+    normalized_corpus_kernel,
+    sparse_kernels,
+)
 from oracles import NEG, as_raw, brute_star, enumerate_cycle_means, mp_matmul
 
 from maxplus_martin import (
@@ -23,6 +29,7 @@ from maxplus_martin import (
     normalize,
 )
 from maxplus_martin.errors import AssumptionViolatedWarning
+from maxplus_martin.semiring import TOL
 
 
 def raw_entries(kernel):
@@ -157,6 +164,27 @@ def test_positive_cycle_names_a_state():
     k = KernelMatrix(states=("a", "b"), entries=[[0, 2], [-1, 0]])
     with pytest.raises(PositiveCycle, match="state"):
         kleene_star(k)
+
+
+def test_tolerance_is_derived_from_the_entries():
+    exact = KernelMatrix(states=("a", "b"),
+                         entries=[[0, Fraction(-1, 3)], [NEG_INF, -7]])
+    assert exact.tol == TOL
+    mixed = KernelMatrix(states=("a", "b"), entries=[[0, -4.0], [NEG_INF, 2]])
+    assert mixed.tol == TOL + 4 * 4.0 * 2.0**-52
+
+
+@given(float_kernels())
+def test_normalized_float_kernel_has_a_star(kernel):
+    # Karp's float mean can leave the critical cycle a few ulps above 0
+    star = kleene_star(normalize(kernel, max_cycle_mean(kernel)))
+    assert all(star.entries[i][i] == 0 for i in range(star.n))
+
+
+@given(float_kernels())
+def test_truly_positive_float_cycle_still_raises(kernel):
+    with pytest.raises(PositiveCycle):
+        kleene_star(normalize(kernel, max_cycle_mean(kernel) - 1e-3))
 
 
 def test_star_warns_when_not_finite():

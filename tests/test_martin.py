@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import finite_kernels, normalized_corpus_kernel
+from conftest import (
+    finite_kernels,
+    float_kernels,
+    float_twins,
+    normalized_corpus_kernel,
+)
 
 from maxplus_martin import (
     AssumptionViolated,
@@ -18,13 +23,17 @@ from maxplus_martin import (
     extremal_witness,
     is_extremal,
     is_harmonic,
+    format_value,
     kleene_star,
     martin_kernel,
+    max_cycle_mean,
     minimal_martin_space,
     mu,
     natural_kernel,
+    normalize,
     oplus,
     otimes,
+    parse_value,
     recurrence_classes,
     represent,
     spectral_measure,
@@ -125,6 +134,37 @@ def test_minimal_columns_are_harmonic_and_self_paired(seed):
     for u in minimal:
         for v in minimal:
             assert H(u, v, star) <= 0
+
+
+@given(float_kernels())
+def test_normalized_float_kernel_has_a_harmonic_column(kernel):
+    star = kleene_star(normalize(kernel, max_cycle_mean(kernel)))
+    assert any(obj.harmonic for obj in martin_kernel(star))
+
+
+@given(float_twins())
+def test_float_kernel_agrees_with_its_integer_twin(twins):
+    kernel, twin, unit = twins
+    lam, exact = max_cycle_mean(kernel), max_cycle_mean(twin)
+    assert abs(lam - exact * unit) <= kernel.tol
+    star = kleene_star(normalize(kernel, lam))
+    exact_star = kleene_star(normalize(twin, exact))
+    tol = star.source.tol
+    for row, exact_row in zip(star.entries, exact_star.entries):
+        assert all(abs(v - e * unit) <= tol for v, e in zip(row, exact_row))
+    assert recurrence_classes(star) == recurrence_classes(exact_star)
+    flags = [obj.harmonic for obj in martin_kernel(star)]
+    assert flags == [obj.harmonic for obj in martin_kernel(exact_star)]
+
+
+@given(float_kernels(max_exp=0))
+def test_printed_martin_column_is_still_harmonic(kernel):
+    # 12 printed digits move a column by up to ~1e-11 here, far above the
+    # relative term n^2 max|a| 2^-52 of the tolerance: the floor absorbs it
+    kn = normalize(kernel, max_cycle_mean(kernel))
+    for obj in martin_kernel(kleene_star(kn)):
+        back = [parse_value(format_value(v)) for v in obj.column]
+        assert is_harmonic(kn, back) == obj.harmonic
 
 
 def test_mu_validates_length():
