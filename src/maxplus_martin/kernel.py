@@ -6,15 +6,23 @@ A* = I + A + A^2 + ... collects the best reward over walks of any length.
 The star is finite exactly when no cycle has positive total weight, in
 which case walks never need more than n-1 steps and a Floyd-Warshall
 sweep computes A* exactly.
+
+The O(n^3) layers run as numpy max-plus products on one array per kernel
+(Scaled): int and Fraction entries times a common denominator q, so every
+walk weight is an integer, exact in float64 below 2^53 and kept in Python
+ints when a walk could reach that.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     AssumptionViolatedWarning,
@@ -36,12 +44,140 @@ from .semiring import (
 
 Grid = tuple[tuple[Value, ...], ...]
 
+# float64 holds every integer of smaller magnitude exactly
+EXACT_LIMIT = 2**53
+# elements in the largest temporary of one max-plus product
+_CHUNK = 1 << 18
+_NINF = -math.inf
+
 
 def _freeze(rows) -> Grid:
     try:
         return tuple(tuple(coerce_value(v) for v in row) for row in rows)
     except ValueError as exc:
         raise DimensionMismatch(str(exc)) from None
+
+
+def _python_ints(array: np.ndarray) -> np.ndarray:
+    """An array of integral values as Python ints (object dtype), -inf kept."""
+    if array.dtype == object:
+        return array
+    out = array.astype(object)
+    finite = array != _NINF
+    out[finite] = [int(v) for v in array[finite].tolist()]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Scaled:
+    """A grid of semiring values as one array: the values times q.
+
+    Int and Fraction grids hold the integers q*a, q a common denominator
+    (1 on int input), so every sum of entries is an integer: exact in
+    float64 below 2^53, and an object array of Python ints beyond.  Float
+    grids keep their floats with q = 1.  Absent arcs are -inf.  `kind`
+    (int, Fraction or float) is the type values are reported in.
+    """
+
+    array: np.ndarray
+    q: int
+    kind: type
+
+    @cached_property
+    def top(self):
+        """A bound on the magnitude of the finite entries: their largest
+        magnitude unless the operation that made the array seeded a bound."""
+        finite = self.array[self.array != _NINF]
+        return abs(finite).max() if finite.size else 0
+
+    def exact(self, terms: int) -> np.ndarray:
+        """The array, as Python ints when a sum of `terms` entries may reach 2^53."""
+        if self.kind is float or terms * self.top < EXACT_LIMIT:
+            return self.array
+        return _python_ints(self.array)
+
+    def to(self, q: int, kind: type) -> Scaled:
+        """The same values on the denominator q (a multiple of self.q), or as
+        floats when kind is float."""
+        if q == self.q and kind is self.kind:
+            return self
+        if kind is float:
+            return Scaled((self.array / self.q).astype(float), 1, float)
+        factor = q // self.q
+        return Scaled(self.exact(factor) * factor, q, kind)
+
+    def value(self, v) -> Value:
+        """One number of the array as a semiring value."""
+        if v == _NINF:
+            return NEG_INF
+        if self.kind is float:
+            return float(v)
+        if self.kind is int:
+            return int(v)
+        return Fraction(int(v), self.q)
+
+    def values(self, array: np.ndarray | None = None) -> list[list[Value]]:
+        """Rows of `array` (default: this grid's) as semiring values."""
+        rows = (self.array if array is None else array).tolist()
+        if self.kind is float:
+            return [[NEG_INF if v == _NINF else v for v in row] for row in rows]
+        # grids repeat few values, and a Fraction costs a gcd to build
+        table = {v: self.value(v) for v in set().union(*rows)}
+        return [list(map(table.__getitem__, row)) for row in rows]
+
+
+def scale(rows, q: int = 1) -> Scaled:
+    """The Scaled form of a grid of semiring values.
+
+    Any float makes a float grid.  Otherwise q grows to the lcm of q and
+    every Fraction denominator, and the grid reports Fractions when it
+    holds one or q exceeds 1.
+    """
+    flat = [v for row in rows for v in row]
+    if any(issubclass(t, float) for t in set(map(type, flat))):
+        array = [[_NINF if v is NEG_INF else float(v) for v in row] for row in rows]
+        return Scaled(np.array(array, dtype=float), 1, float)
+    denominators = [v.denominator for v in flat if isinstance(v, Fraction)]
+    q = math.lcm(q, *denominators)
+    ints = [
+        [_NINF if v is NEG_INF else v.numerator * (q // v.denominator) for v in row]
+        for row in rows
+    ]
+    top = max((abs(v) for row in ints for v in row if v != _NINF), default=0)
+    kind = Fraction if denominators or q > 1 else int
+    dtype = float if top < EXACT_LIMIT else object
+    return _seeded(Scaled(np.array(ints, dtype=dtype), q, kind), top=top)
+
+
+def _seeded(obj, **cached):
+    """obj with cached properties already known to the code that built it."""
+    obj.__dict__.update(cached)
+    return obj
+
+
+def joint(*grids: Scaled) -> tuple[int, type]:
+    """Denominator and kind that hold the values of every grid exactly."""
+    kinds = {g.kind for g in grids}
+    kind = float if float in kinds else Fraction if Fraction in kinds else int
+    return math.lcm(*(g.q for g in grids)), kind
+
+
+def _grid(rows) -> Grid:
+    return tuple(map(tuple, rows))
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-plus product of two scaled arrays: max_k a[i, k] + b[k, j].
+
+    Runs in row blocks so that no temporary exceeds _CHUNK elements.
+    """
+    if a.dtype != b.dtype:
+        a, b = _python_ints(a), _python_ints(b)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
+    step = max(1, _CHUNK // max(1, b.size))
+    for r in range(0, len(a), step):
+        np.maximum.reduce(a[r : r + step, :, None] + b, axis=1, out=out[r : r + step])
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,9 +205,23 @@ class KernelMatrix:
         if not 0 <= self.basepoint < n:
             raise DimensionMismatch("basepoint index out of range")
 
+    @classmethod
+    def _computed(cls, states, basepoint, scaled: Scaled) -> KernelMatrix:
+        """A kernel whose entries come from an array this module computed."""
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "states", states)
+        object.__setattr__(kernel, "entries", _grid(scaled.values()))
+        object.__setattr__(kernel, "basepoint", basepoint)
+        return _seeded(kernel, scaled=scaled)
+
     @property
     def n(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def scaled(self) -> Scaled:
+        """The entries as one array, built once per kernel."""
+        return scale(self.entries)
 
     @cached_property
     def tol(self) -> float:
@@ -93,6 +243,12 @@ class KernelMatrix:
             raise DimensionMismatch(f"unknown state label {label!r}") from None
 
 
+def _slack(kernel: KernelMatrix) -> float:
+    """Comparison slack on the kernel's array: its tol on a float kernel, 0
+    on an exact one, whose array holds integers."""
+    return kernel.tol if kernel.scaled.kind is float else 0
+
+
 def identity_grid(n: int) -> Grid:
     return tuple(
         tuple(0 if i == j else NEG_INF for j in range(n)) for i in range(n)
@@ -101,34 +257,32 @@ def identity_grid(n: int) -> Grid:
 
 def matmul(a: Grid, b: Grid) -> Grid:
     """Max-plus matrix product: (ab)[i][j] = max_k a[i][k] + b[k][j]."""
-    n = len(a)
-    out = []
-    for i in range(n):
-        arow = a[i]
-        row = []
-        for j in range(n):
-            best = NEG_INF
-            for k in range(n):
-                v = otimes(arow[k], b[k][j])
-                if best < v:
-                    best = v
-            row.append(best)
-        out.append(tuple(row))
-    return tuple(out)
+    both = scale(tuple(a) + tuple(b))
+    array = both.exact(2)
+    return _grid(both.values(_product(array[: len(a)], array[len(a) :])))
 
 
 def matrix_power(kernel: KernelMatrix, t: int) -> KernelMatrix:
     """t-step kernel A^t by binary exponentiation; A^0 is the identity."""
     if not isinstance(t, int) or t < 0:
         raise DimensionMismatch("power must be a nonnegative integer")
-    result = identity_grid(kernel.n)
-    base = kernel.entries
-    while t:
+    if t == 0:
+        return KernelMatrix(kernel.states, identity_grid(kernel.n), kernel.basepoint)
+    if t == 1:
+        return kernel
+    scaled = kernel.scaled
+    base = scaled.exact(t)
+    result = None
+    while True:
         if t & 1:
-            result = matmul(result, base)
-        base = matmul(base, base) if t > 1 else base
+            result = base if result is None else _product(result, base)
         t >>= 1
-    return KernelMatrix(kernel.states, result, kernel.basepoint)
+        if not t:
+            break
+        base = _product(base, base)
+    return KernelMatrix._computed(
+        kernel.states, kernel.basepoint, Scaled(result, scaled.q, scaled.kind)
+    )
 
 
 def _function(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
@@ -162,55 +316,71 @@ def max_cycle_mean(kernel: KernelMatrix) -> Value:
     Raises NoCycle when the graph of finite arcs is acyclic.
     """
     n = kernel.n
-    rows = kernel.entries
-    table = [[0] * n]
+    scaled = kernel.scaled
+    a = scaled.exact(2 * n)
+    walks = [np.zeros(n, dtype=a.dtype)]
     for _ in range(n):
-        prev = table[-1]
-        cur = []
-        for v in range(n):
-            best = NEG_INF
-            for u in range(n):
-                w = otimes(prev[u], rows[u][v])
-                if best < w:
-                    best = w
-            cur.append(best)
-        table.append(cur)
+        walks.append(np.maximum.reduce(walks[-1][:, None] + a))
+    if scaled.kind is float:
+        return _float_cycle_mean(np.array(walks))
 
-    exact = all(
-        isinstance(v, (int, Fraction)) or v is NEG_INF
-        for row in rows
-        for v in row
-    )
-    best = None
+    # min over k of (D_n - D_k) / (n - k), max over v, by cross-multiplying
+    # Python ints; D_0 = 0 makes the min exist wherever D_n is finite
+    table = np.array(walks).tolist()
     last = table[n]
+    best = None
     for v in range(n):
-        if last[v] is NEG_INF:
+        if last[v] == _NINF:
             continue
-        worst = None
+        num, den = None, 1
         for k in range(n):
-            if table[k][v] is NEG_INF:
+            if table[k][v] == _NINF:
                 continue
-            num = last[v] - table[k][v]
-            ratio = Fraction(num, n - k) if exact else num / (n - k)
-            if worst is None or ratio < worst:
-                worst = ratio
-        if worst is not None and (best is None or worst > best):
-            best = worst
+            cand = int(last[v] - table[k][v])
+            if num is None or cand * den < num * (n - k):
+                num, den = cand, n - k
+        if best is None or num * best[1] > best[0] * den:
+            best = (num, den)
     if best is None:
         raise NoCycle("no cycle with finite arcs")
-    if isinstance(best, Fraction) and best.denominator == 1:
-        return int(best)
-    return best
+    lam = Fraction(best[0], best[1] * scaled.q)
+    return lam.numerator if lam.denominator == 1 else lam
+
+
+def _float_cycle_mean(table: np.ndarray) -> float:
+    """Karp's min-max over a float walk table, one float division per ratio."""
+    n = table.shape[1]
+    last, head = table[n], table[:n]
+    with np.errstate(invalid="ignore"):  # -inf - -inf, masked just below
+        ratio = (last - head) / np.arange(n, 0, -1)[:, None]
+    ratio[head == _NINF] = np.inf
+    worst = ratio.min(axis=0)[last != _NINF]
+    if not worst.size:
+        raise NoCycle("no cycle with finite arcs")
+    return float(worst.max())
 
 
 def normalize(kernel: KernelMatrix, lam: Value) -> KernelMatrix:
-    """Subtract lam from every finite entry (spectral shift)."""
+    """Subtract lam from every finite entry (spectral shift).
+
+    With lam = p/r on a kernel scaled by q, the result is scaled by
+    q' = lcm(q, r) and holds a*(q'/q) - p*(q'/r); a float lam or kernel
+    gives floats, as Python's mixed arithmetic does.
+    """
     if not is_finite(lam):
         raise DimensionMismatch("normalization constant must be finite")
-    shifted = tuple(
-        tuple(otimes(v, -lam) for v in row) for row in kernel.entries
-    )
-    return KernelMatrix(kernel.states, shifted, kernel.basepoint)
+    scaled = kernel.scaled
+    if scaled.kind is float or isinstance(lam, float):
+        result = Scaled(scaled.to(1, float).array - float(lam), 1, float)
+    else:
+        kind = Fraction if scaled.kind is Fraction or isinstance(lam, Fraction) else int
+        lam = Fraction(lam)
+        q = math.lcm(scaled.q, lam.denominator)
+        up, shift = q // scaled.q, lam.numerator * (q // lam.denominator)
+        top = scaled.top * up + abs(shift)
+        array = scaled.array if top < EXACT_LIMIT else _python_ints(scaled.array)
+        result = _seeded(Scaled(array * up - shift, q, kind), top=top)
+    return KernelMatrix._computed(kernel.states, kernel.basepoint, result)
 
 
 @dataclass(frozen=True)
@@ -233,6 +403,11 @@ class StarMatrix:
         return self.source.basepoint
 
     @cached_property
+    def scaled(self) -> Scaled:
+        """The entries as one array, on the source kernel's denominator."""
+        return scale(self.entries, self.source.scaled.q)
+
+    @cached_property
     def finite(self) -> bool:
         """True when every entry is finite (the standing assumption)."""
         return all(v is not NEG_INF for row in self.entries for v in row)
@@ -241,35 +416,42 @@ class StarMatrix:
 def kleene_star(kernel: KernelMatrix) -> StarMatrix:
     """Best reward over walks of any length, A* = sup_{t>=0} A^t.
 
-    Floyd-Warshall over the max-plus semiring; exact on integer entries.
-    Raises PositiveCycle when some cycle has positive weight (the sup
-    would diverge); a float diagonal within kernel.tol of 0 is rounding
-    and set to 0.  A star with -inf entries is legal but flagged with
-    a warning, since the Martin construction refuses such kernels.
+    Floyd-Warshall over the max-plus semiring, as n rank-1 updates of the
+    kernel's array; exact on integer entries.  Raises PositiveCycle when
+    some cycle has positive weight (the sup would diverge); a float
+    diagonal within kernel.tol of 0 is rounding and set to 0.  A star with
+    -inf entries is legal but flagged with a warning, since the Martin
+    construction refuses such kernels.
     """
     n = kernel.n
-    m = [list(row) for row in kernel.entries]
+    scaled = kernel.scaled
+    m = scaled.exact(2 * n).copy()
     for k in range(n):
-        for i in range(n):
-            ik = m[i][k]
-            if ik is NEG_INF:
-                continue
-            rowk = m[k]
-            rowi = m[i]
-            for j in range(n):
-                kj = rowk[j]
-                if kj is NEG_INF:
-                    continue
-                cand = ik + kj
-                if rowi[j] < cand:
-                    rowi[j] = cand
+        d = m[k, k]
+        if d > 0:
+            # a positive pivot first lifts its own row by d, and only the rows
+            # below read the lifted row: the order of the in-place sweep, which
+            # fixes the state a positive cycle is reported through and the
+            # last bits of a float star
+            np.maximum(m[:k], m[:k, k, None] + m[k], out=m[:k])
+            m[k] += d
+            np.maximum(m[k + 1 :], m[k + 1 :, k, None] + m[k], out=m[k + 1 :])
+        else:
+            np.maximum(m, m[:, k, None] + m[k], out=m)
+    over = np.flatnonzero(m.diagonal() > _slack(kernel))
+    if over.size:
+        raise PositiveCycle(
+            f"cycle through state {kernel.states[over[0]]!r} has positive weight"
+        )
+    m.flat[:: n + 1] = 0
+    rows = scaled.values(m)
     for i in range(n):
-        if not le_close(m[i][i], 0, kernel.tol):
-            raise PositiveCycle(
-                f"cycle through state {kernel.states[i]!r} has positive weight"
-            )
-        m[i][i] = 0
-    star = StarMatrix(_freeze(m), kernel)
+        rows[i][i] = 0
+    star = _seeded(
+        StarMatrix(_grid(rows), kernel),
+        scaled=Scaled(m, scaled.q, scaled.kind),
+        finite=not (m == _NINF).any(),
+    )
     if not star.finite:
         warnings.warn(
             "star kernel has -inf entries; Martin operations will refuse it",

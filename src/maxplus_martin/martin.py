@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import AssumptionViolated, DimensionMismatch, NotHarmonic, NotNormalized
-from .kernel import KernelMatrix, StarMatrix, is_harmonic
+from .kernel import KernelMatrix, StarMatrix, _product, _slack, is_harmonic
 from .semiring import NEG_INF, Value, oplus, otimes, values_close
 
 
@@ -43,14 +45,13 @@ def recurrence_classes(star: StarMatrix) -> list[list[int]]:
             i = parent[i]
         return i
 
-    e = star.entries
-    tol = star.source.tol
-    for x in range(n):
-        for y in range(x + 1, n):
-            if values_close(otimes(e[x][y], e[y][x]), 0, tol):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
+    s = star.scaled.array
+    same = np.abs(s + s.T) <= _slack(star.source)
+    for x, y in zip(*(i.tolist() for i in np.nonzero(same))):
+        if x < y:
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -80,26 +81,49 @@ def martin_kernel(star: StarMatrix) -> list[MartinObject]:
     columns but asserted anyway.
     """
     _require_finite(star)
+    return _martin_objects(star, list(enumerate(recurrence_classes(star))))
+
+
+def _martin_objects(star: StarMatrix, classes) -> list[MartinObject]:
+    """The MartinObject of each (class id, members) pair.
+
+    One product A K over the columns decides every harmonic flag: exact on
+    the integer arrays of int and Fraction kernels, within tol on floats.
+    """
+    scaled = star.scaled
+    s = scaled.array
     b = star.basepoint
-    e = star.entries
+    reps = [members[0] for _, members in classes]
+    columns = s[:, reps] - s[b, reps]
+    slack = _slack(star.source)
+    image = _product(star.source.scaled.exact(2 * star.n), columns)
+    harmonic = (np.abs(image - columns) <= slack).all(axis=0).tolist()
+    # H(xi, xi) = max over the members x of A*<b,x> + K<x,y>
+    own = np.zeros(columns.shape, dtype=bool)
+    for i, (_, members) in enumerate(classes):
+        own[members, i] = True
+    self_pairs = np.where(own, s[b][:, None] + columns, -np.inf).max(axis=0)
+    broken = np.flatnonzero(np.abs(self_pairs) > slack)
+    if broken.size:
+        i = int(broken[0])
+        raise AssumptionViolated(
+            f"self pairing of class {classes[i][0]} is "
+            f"{scaled.value(self_pairs[i])!r}, expected 0"
+        )
+    values = list(zip(*scaled.values(columns)))
     objects = []
-    for cid, members in enumerate(recurrence_classes(star)):
-        y = members[0]
-        shift = e[b][y]
-        column = tuple(e[x][y] - shift for x in range(star.n))
-        harmonic = is_harmonic(star.source, column)
-        self_pair = max(otimes(e[b][x], column[x]) for x in members)
-        if not values_close(self_pair, 0, star.source.tol):
-            raise AssumptionViolated(
-                f"self pairing of class {cid} is {self_pair!r}, expected 0"
-            )
+    for i, (cid, members) in enumerate(classes):
+        column = values[i]
+        if reps[i] == b:
+            # K<b,b> = A*<b,b> - A*<b,b> is the int 0 of the star's diagonal
+            column = column[:b] + (0,) + column[b + 1 :]
         objects.append(
             MartinObject(
                 column=column,
                 class_id=cid,
                 members=tuple(members),
-                harmonic=harmonic,
-                minimal=harmonic,
+                harmonic=harmonic[i],
+                minimal=harmonic[i],
             )
         )
     return objects

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     AssumptionViolated,
     DimensionMismatch,
@@ -21,8 +23,18 @@ from .errors import (
     NotEventuallyConstant,
     NotHarmonic,
 )
-from .kernel import KernelMatrix, StarMatrix, is_harmonic, matrix_power
-from .martin import MartinObject, martin_kernel
+from .kernel import (
+    EXACT_LIMIT,
+    KernelMatrix,
+    Scaled,
+    StarMatrix,
+    _python_ints,
+    is_harmonic,
+    joint,
+    matrix_power,
+    scale,
+)
+from .martin import MartinObject, _martin_objects, _require_finite, recurrence_classes
 from .semiring import NEG_INF, POS_INF, Value, le_close, otimes
 
 
@@ -94,20 +106,28 @@ def almost_geodesic_excess(
     """Smallest eps for which the path is an eps-almost-geodesic.
 
     Maximum over sampled index pairs i < j of A*<x_i,x_j> minus the
-    sampled reward; a single-sample path needs no slack at all.
+    sampled reward; a single-sample path needs no slack at all.  All pairs
+    are one masked array on the star's array: row i of the cumulative step
+    rewards from sample i against row x_i of the star.
     """
-    _check_states(kernel, path)
-    steps = step_rewards(kernel, path)
-    worst: Value = 0
-    m = len(path)
-    for i in range(m):
-        acc: Value = 0
-        for j in range(i + 1, m):
-            acc = otimes(acc, steps[j - 1])
-            e = _excess(star.entries[path.states[i]][path.states[j]], acc)
-            if worst < e:
-                worst = e
-    return worst
+    steps = scale([step_rewards(kernel, path)])
+    q, kind = joint(star.scaled, steps)
+    target = star.scaled.to(q, kind)
+    reward = steps.to(q, kind).array[0]
+    if kind is not float:
+        bound = target.top + abs(reward[reward != -np.inf]).sum()
+        if bound >= EXACT_LIMIT:
+            target = Scaled(_python_ints(target.array), q, kind)
+            reward = _python_ints(reward)
+    # achieved[i, j-1] = reward of samples i..j, summed from i as a walk would
+    achieved = np.cumsum(np.triu(np.broadcast_to(reward, (len(reward),) * 2)), axis=1)
+    xs = list(path.states)
+    goal = target.array[np.ix_(xs[:-1], xs[1:])]
+    pairs = np.triu(goal != -np.inf)
+    if (pairs & (achieved == -np.inf)).any():
+        return POS_INF
+    worst = np.where(pairs, goal - achieved, 0).max(initial=0)
+    return target.value(worst) if worst > 0 else 0
 
 
 def is_almost_geodesic(
@@ -223,18 +243,16 @@ def geodesic_limit(path: DiscretePath, star: StarMatrix, eps: Value) -> MartinOb
         raise NotAlmostGeodesic(
             f"path needs more than eps={eps} slack against the star kernel"
         )
-    objects = martin_kernel(star)
-    class_of = {}
-    for obj in objects:
-        for member in obj.members:
-            class_of[member] = obj
-    classes = [class_of[s].class_id for s in path.states]
-    settled = len(set(classes)) == 1 or classes[-1] == classes[-2]
+    _require_finite(star)
+    classes = recurrence_classes(star)
+    class_of = {member: cid for cid, members in enumerate(classes) for member in members}
+    ids = [class_of[s] for s in path.states]
+    settled = len(set(ids)) == 1 or ids[-1] == ids[-2]
     if not settled:
         raise NotEventuallyConstant(
             "Martin class still changing at the final sample"
         )
-    limit = class_of[path.states[-1]]
+    limit = _martin_objects(star, [(ids[-1], classes[ids[-1]])])[0]
     if not limit.minimal:
         raise AssumptionViolated(
             "path settled on a class whose column is not harmonic"

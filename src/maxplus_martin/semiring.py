@@ -119,7 +119,10 @@ def coerce_value(v) -> Value:
     NEG_INF stay reliable no matter where an entry came from.  Booleans
     and NaN are rejected.
     """
-    if isinstance(v, _Infinite):
+    kind = type(v)
+    if kind is int or kind is Fraction or kind is _Infinite:
+        return v
+    if kind is float and math.isfinite(v):
         return v
     if isinstance(v, bool):
         raise ValueError(f"not a max-plus value: {v!r}")

@@ -1,7 +1,11 @@
-"""Shared test setup: hypothesis profile and random kernel generators."""
+"""Shared test setup: hypothesis profile, random kernel generators and a
+memory-capped subprocess."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -97,3 +101,28 @@ def normalized_corpus_kernel(rng: np.random.Generator, max_n: int = 6,
 def corpus(seed: int, count: int, **kw) -> list[KernelMatrix]:
     rng = np.random.default_rng(seed)
     return [normalized_corpus_kernel(rng, **kw) for _ in range(count)]
+
+
+CAP = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+"""
+CLI = """
+import sys
+from maxplus_martin.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_capped(*argv, program=CLI):
+    """A program (default: the command line) in a subprocess capped at 1 GiB
+    of address space.
+
+    The cap turns an unguarded oversized allocation into a fast
+    MemoryError traceback instead of a real allocation.
+    """
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", CAP + program, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)

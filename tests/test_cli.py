@@ -1,11 +1,11 @@
 import json
 import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
+
+from conftest import run_capped
 
 from maxplus_martin.cli import main
 
@@ -267,27 +267,6 @@ def test_unknown_command_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["definitely-not-a-command"])
     assert info.value.code == 1
-
-
-CAPPED = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from maxplus_martin.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
-
-
-def run_capped(*argv):
-    """The command line in a subprocess capped at 1 GiB of address space.
-
-    The cap turns an unguarded oversized allocation into a fast
-    MemoryError traceback instead of a real allocation.
-    """
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", CAPPED, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
 
 
 def test_lq_verify_refuses_an_oversized_grid():

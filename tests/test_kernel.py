@@ -1,14 +1,17 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    corpus,
     finite_kernels,
     float_kernels,
     labels,
     normalized_corpus_kernel,
+    run_capped,
     sparse_kernels,
 )
 from oracles import NEG, as_raw, brute_star, enumerate_cycle_means, mp_matmul
@@ -214,3 +217,95 @@ def test_star_columns_are_superharmonic(kernel, col_seed):
     j = col_seed % kernel.n
     column = [star.entries[i][j] for i in range(kernel.n)]
     assert is_superharmonic(kernel, column)
+
+
+@st.composite
+def huge_kernels(draw):
+    """n = 8 kernels with entries in [-2^50, -2^49] or -inf: a sum of 16
+    entries may pass 2^53, so star, Karp and powers run on Python ints."""
+    big = st.integers(-(2**50), -(2**49))
+    rows = [[draw(st.one_of(st.just(NEG_INF), big)) for _ in range(8)] for _ in range(8)]
+    rows[0][0] = draw(big)
+    return KernelMatrix(states=labels(8), entries=rows)
+
+
+@settings(max_examples=15)
+@given(huge_kernels(), st.integers(2, 5))
+def test_entries_past_float_range_stay_exact(kernel, t):
+    assert kernel.scaled.exact(2 * kernel.n).dtype == object
+    raw = raw_entries(kernel)
+    means = enumerate_cycle_means(raw)
+    if means:
+        assert max_cycle_mean(kernel) == max(means)
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AssumptionViolatedWarning)
+        star = kleene_star(kernel)
+    assert raw_entries(star) == brute_star(raw, 2 * kernel.n)
+    step = raw
+    for _ in range(t - 1):
+        step = mp_matmul(step, raw)
+    assert raw_entries(matrix_power(kernel, t)) == step
+
+
+def test_karp_settles_close_means_exactly():
+    # the 7-cycle 7 > 6 > ... > 1 > 7 has mean m + 1/7 and the 8-cycle
+    # 7 > ... > 0 > 7 mean m + 1/8, m = 2^48: walk weights fit float64, but
+    # both means round to the same float and the cross products
+    # num * (n - k) exceed 2^53
+    m = 2**48
+    rows = [[NEG_INF] * 8 for _ in range(8)]
+    for j in range(1, 8):
+        rows[j][j - 1] = m
+    rows[1][7] = m + 1
+    rows[0][7] = m + 1
+    kernel = KernelMatrix(states=labels(8), entries=rows)
+    assert kernel.scaled.exact(2 * kernel.n).dtype == float
+    assert float(Fraction(7 * m + 1, 7)) == float(Fraction(8 * m + 1, 8))
+    assert max(enumerate_cycle_means(raw_entries(kernel))) == Fraction(7 * m + 1, 7)
+    assert max_cycle_mean(kernel) == Fraction(7 * m + 1, 7)
+
+
+def _types(grid):
+    return {type(v).__name__ for row in grid for v in row if v is not NEG_INF}
+
+
+def test_star_and_power_entries_keep_their_types():
+    # int kernels stay int; after a fractional lambda every star entry off
+    # the int 0 diagonal, and every power entry, is a Fraction
+    for kernel in corpus(11, 40):
+        star = kleene_star(kernel)
+        assert all(type(star.entries[i][i]) is int for i in range(kernel.n))
+        assert _types(star.entries) == {"int"}
+        assert _types(matrix_power(kernel, 3).entries) == {"int"}
+    rng = np.random.default_rng(12)
+    fractional = []
+    while len(fractional) < 40:
+        n = int(rng.integers(2, 7))
+        raw = KernelMatrix(labels(n), rng.integers(-9, 4, size=(n, n)).tolist())
+        lam = max_cycle_mean(raw)
+        if isinstance(lam, Fraction):
+            fractional.append(normalize(raw, lam))
+    for kernel in fractional:
+        assert _types(kernel.entries) == {"Fraction"}
+        star = kleene_star(kernel)
+        assert all(type(star.entries[i][i]) is int for i in range(kernel.n))
+        off = [star.entries[i][j] for i in range(kernel.n) for j in range(kernel.n) if i != j]
+        assert {type(v).__name__ for v in off} <= {"Fraction"}
+        assert _types(matrix_power(kernel, 2).entries) == {"Fraction"}
+
+
+def test_power_runs_in_bounded_memory():
+    # A<x,y> = -|x - y| with a zero diagonal is idempotent: A^16 = A; the
+    # product runs in row blocks, so n = 200 fits in 1 GiB of address space
+    proc = run_capped(program="""
+from maxplus_martin import KernelMatrix, matrix_power
+n = 200
+kernel = KernelMatrix([str(i) for i in range(n)],
+                      [[-abs(i - j) for j in range(n)] for i in range(n)])
+assert matrix_power(kernel, 16).entries == kernel.entries
+print("ok")
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

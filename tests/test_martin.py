@@ -10,6 +10,7 @@ from conftest import (
     float_kernels,
     float_twins,
     normalized_corpus_kernel,
+    sparse_kernels,
 )
 
 from maxplus_martin import (
@@ -18,8 +19,10 @@ from maxplus_martin import (
     H,
     KernelMatrix,
     NEG_INF,
+    NoCycle,
     NotHarmonic,
     NotNormalized,
+    PositiveCycle,
     extremal_witness,
     is_extremal,
     is_harmonic,
@@ -165,6 +168,25 @@ def test_printed_martin_column_is_still_harmonic(kernel):
     for obj in martin_kernel(kleene_star(kn)):
         back = [parse_value(format_value(v)) for v in obj.column]
         assert is_harmonic(kn, back) == obj.harmonic
+
+
+@given(st.one_of(finite_kernels(), sparse_kernels(), float_kernels()))
+def test_harmonic_flags_match_per_column_check(kernel):
+    # one product A K decides every flag; is_harmonic checks one column
+    try:
+        kn = normalize(kernel, max_cycle_mean(kernel))
+    except NoCycle:
+        return
+    for k in (kernel, kn):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AssumptionViolatedWarning)
+                objects = martin_kernel(kleene_star(k))
+        except (AssumptionViolated, PositiveCycle):
+            continue
+        assert [obj.harmonic for obj in objects] == [
+            is_harmonic(k, obj.column) for obj in objects
+        ]
 
 
 def test_mu_validates_length():
