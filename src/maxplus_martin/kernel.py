@@ -37,9 +37,6 @@ from .semiring import (
     Value,
     coerce_value,
     is_finite,
-    le_close,
-    otimes,
-    values_close,
 )
 
 Grid = tuple[tuple[Value, ...], ...]
@@ -291,18 +288,38 @@ def _function(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
             f"function has {len(g)} values for {kernel.n} states"
         )
     try:
-        return tuple(coerce_value(v) for v in g)
+        return tuple(map(coerce_value, g))
     except ValueError as exc:
         raise DimensionMismatch(str(exc)) from None
 
 
+def _sums(kernel: KernelMatrix, g: Sequence[Value]):
+    """The sums A<x,y> + g(y), g, and the kernel's Scaled, on one array: float
+    when either holds a float, else on a shared denominator, in Python ints
+    when a sum could reach 2^53."""
+    if kernel.scaled.kind is float or float in set(map(type, g)):
+        grid = kernel.scaled.to(1, float)
+        g = np.array([_NINF if v is NEG_INF else v for v in g], dtype=float)
+        return grid.array + g, g, grid
+    g = scale([g], kernel.scaled.q)
+    q, kind = joint(kernel.scaled, g)
+    grid, g = kernel.scaled.to(q, kind), g.to(q, kind)
+    a, g = grid.exact(2), g.exact(2)[0]
+    if a.dtype != g.dtype:
+        a, g = _python_ints(a), _python_ints(g)
+    return a + g, g, grid
+
+
 def apply(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
     """Act on a function: (A g)(x) = max_y A<x,y> + g(y)."""
-    return _image(kernel, _function(kernel, g))
-
-
-def _image(kernel: KernelMatrix, g: tuple[Value, ...]) -> tuple[Value, ...]:
-    return tuple(max(map(otimes, row, g)) for row in kernel.entries)
+    g = _function(kernel, g)
+    up = [y for y, v in enumerate(g) if v is POS_INF]
+    sums, _, grid = _sums(kernel, [NEG_INF if v is POS_INF else v for v in g])
+    image = grid.values(sums.max(axis=1)[None])[0]
+    if up:  # +inf wins wherever an arc reaches it; -inf absorbs it
+        hit = (kernel.scaled.array[:, up] != _NINF).any(axis=1).tolist()
+        image = [POS_INF if reach else v for reach, v in zip(hit, image)]
+    return tuple(image)
 
 
 def max_cycle_mean(kernel: KernelMatrix) -> Value:
@@ -412,6 +429,24 @@ class StarMatrix:
         """True when every entry is finite (the standing assumption)."""
         return all(v is not NEG_INF for row in self.entries for v in row)
 
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Recurrence classes (martin.recurrence_classes): the components of
+        x ~ y, closed explicitly since a float tolerance could break its
+        transitivity."""
+        s = self.scaled.array
+        same = np.abs(s + s.T) <= _slack(self.source)
+        label = same.argmax(axis=1)  # the least relative (the diagonal is 0)
+        while True:  # until every state holds the least label of its relatives
+            least = np.where(same, label, self.n).min(axis=1)
+            if least.tolist() == label.tolist():
+                break
+            label = least
+        groups: dict[int, list[int]] = {}
+        for i, root in enumerate(label.tolist()):
+            groups.setdefault(root, []).append(i)
+        return tuple(map(tuple, groups.values()))
+
 
 def kleene_star(kernel: KernelMatrix) -> StarMatrix:
     """Best reward over walks of any length, A* = sup_{t>=0} A^t.
@@ -461,22 +496,28 @@ def kleene_star(kernel: KernelMatrix) -> StarMatrix:
     return star
 
 
-def _check_candidate(kernel: KernelMatrix, h: Sequence[Value]) -> tuple[Value, ...]:
+def _fixed(kernel: KernelMatrix, h: Sequence[Value], sub: bool = False):
+    """Whether A h = h (A h <= h when sub), and the sums A<x,y> + h(y) that
+    decided it: exact, or within kernel.tol with a float; -inf matches only -inf."""
     h = _function(kernel, h)
     if any(v is POS_INF for v in h):
         raise DimensionMismatch("harmonic candidates may not take +inf")
-    return h
+    sums, g, grid = _sums(kernel, h)
+    image = sums.max(axis=1)
+    if grid.kind is not float:
+        ok = image <= g if sub else image == g
+    elif sub:
+        ok = image <= g + kernel.tol
+    else:
+        ok = (image <= g + kernel.tol) & (g <= image + kernel.tol)
+    return all(ok.tolist()), sums
 
 
 def is_harmonic(kernel: KernelMatrix, h: Sequence[Value]) -> bool:
     """Check A h = h.  One step suffices for the whole power semigroup."""
-    h = _check_candidate(kernel, h)
-    tol = kernel.tol
-    return all(values_close(a, b, tol) for a, b in zip(_image(kernel, h), h))
+    return _fixed(kernel, h)[0]
 
 
 def is_superharmonic(kernel: KernelMatrix, h: Sequence[Value]) -> bool:
     """Check A h <= h pointwise."""
-    h = _check_candidate(kernel, h)
-    tol = kernel.tol
-    return all(le_close(a, b, tol) for a, b in zip(_image(kernel, h), h))
+    return _fixed(kernel, h, sub=True)[0]

@@ -32,30 +32,10 @@ def _require_finite(star: StarMatrix):
 def recurrence_classes(star: StarMatrix) -> list[list[int]]:
     """Partition of the states by x ~ y iff A*<x,y> + A*<y,x> = 0.
 
-    The relation is transitive when equality is exact; with float entries
-    the tolerance could break that, so the closure is taken explicitly
-    (union-find).  Classes are reported sorted by smallest member.
+    Classes are reported sorted by smallest member, as fresh lists of the
+    partition the star computes once (StarMatrix.classes).
     """
-    n = star.n
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    s = star.scaled.array
-    same = np.abs(s + s.T) <= _slack(star.source)
-    for x, y in zip(*(i.tolist() for i in np.nonzero(same))):
-        if x < y:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(groups[r]) for r in sorted(groups)]
+    return [list(members) for members in star.classes]
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from .kernel import (
     KernelMatrix,
     Scaled,
     StarMatrix,
+    _fixed,
     _python_ints,
-    is_harmonic,
     joint,
     matrix_power,
     scale,
@@ -209,25 +209,19 @@ def downhill_path(
         raise DimensionMismatch("length must be nonnegative")
     if not 0 <= start < kernel.n:
         raise DimensionMismatch("start state out of range")
-    if not is_harmonic(kernel, h):
+    harmonic, sums = _fixed(kernel, h)
+    if not harmonic:
         raise NotHarmonic("downhill construction needs a harmonic function")
-    if h[start] is NEG_INF:
+    if sums[start].max() == -np.inf:  # max_y A<x,y> + h(y) = h(x) = -inf
         raise HMinusInfinityAtStart(
             f"h is -inf at start state {kernel.states[start]!r}"
         )
+    # each state's first best successor; from a finite h(x) the walk only
+    # reaches states where h is finite
+    successor = sums.argmax(axis=1).tolist()
     states = [start]
-    x = start
     for _ in range(length):
-        best: Value = NEG_INF
-        choice = x
-        row = kernel.entries[x]
-        for y in range(kernel.n):
-            v = otimes(row[y], h[y])
-            if best < v:
-                best = v
-                choice = y
-        states.append(choice)
-        x = choice
+        states.append(successor[states[-1]])
     return DiscretePath(times=tuple(range(length + 1)), states=tuple(states))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from maxplus_martin import KernelMatrix, NEG_INF, max_cycle_mean
+from maxplus_martin import KernelMatrix, NEG_INF, max_cycle_mean, normalize
 
 settings.register_profile(
     "suite",
@@ -56,6 +56,22 @@ def float_twins(draw, max_n: int = 8, max_exp: int = 9):
         KernelMatrix(states=labels(n), entries=rows),
         Fraction(scale, 1000),
     )
+
+
+@st.composite
+def fraction_kernels(draw, max_n: int = 6):
+    """Integer kernels normalized by a fractional lambda = 1/m, so that every
+    entry is a Fraction that is not an integer.
+
+    A planted cycle 0 > 1 > ... > m-1 > 0 with arcs 1, 0, ..., 0 has mean
+    1/m; every other arc is at most -1, so no other cycle reaches it.
+    """
+    n = draw(st.integers(2, max_n))
+    m = draw(st.integers(2, n))
+    rows = [[draw(st.integers(-9, -1)) for _ in range(n)] for _ in range(n)]
+    for i in range(m):
+        rows[i][(i + 1) % m] = 1 if i == 0 else 0
+    return normalize(KernelMatrix(states=labels(n), entries=rows), Fraction(1, m))
 
 
 def float_kernels(max_n: int = 8, max_exp: int = 9):

@@ -31,6 +31,35 @@ def mp_matmul(a, b):
     ]
 
 
+def mp_apply(entries, g):
+    """(A g)(x) = max_y A[x][y] + g(y), term by term.
+
+    -inf absorbs, also against +inf; a row with no finite term gives -inf.
+    """
+    out = []
+    for row in entries:
+        best = NEG
+        for a, v in zip(row, g):
+            if a != NEG and v != NEG and a + v > best:
+                best = a + v
+        out.append(best)
+    return out
+
+
+def greedy_descent(entries, h, start, length):
+    """States of the walk that steps to the lowest-index y maximizing
+    A[x][y] + h(y), length steps from start."""
+    states = [start]
+    for _ in range(length):
+        row = entries[states[-1]]
+        best, choice = NEG, states[-1]
+        for y in range(len(row)):
+            if row[y] != NEG and h[y] != NEG and row[y] + h[y] > best:
+                best, choice = row[y] + h[y], y
+        states.append(choice)
+    return states
+
+
 def brute_star(entries, horizon):
     """Elementwise sup of A^t for t = 0..horizon, identity included."""
     n = len(entries)

@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,18 +11,27 @@ from conftest import (
     corpus,
     finite_kernels,
     float_kernels,
+    fraction_kernels,
     labels,
     normalized_corpus_kernel,
     run_capped,
     sparse_kernels,
 )
-from oracles import NEG, as_raw, brute_star, enumerate_cycle_means, mp_matmul
+from oracles import (
+    NEG,
+    as_raw,
+    brute_star,
+    enumerate_cycle_means,
+    mp_apply,
+    mp_matmul,
+)
 
 from maxplus_martin import (
     DimensionMismatch,
     KernelMatrix,
     NEG_INF,
     NoCycle,
+    POS_INF,
     PositiveCycle,
     apply,
     is_harmonic,
@@ -209,6 +220,69 @@ def test_harmonic_checks():
     assert is_harmonic(k, [NEG_INF, NEG_INF])
     with pytest.raises(DimensionMismatch):
         is_harmonic(k, [0, float("inf")])
+
+
+@st.composite
+def dense_huge_kernels(draw):
+    """All-finite kernels with entries in [-2^50, -2^49]."""
+    n = draw(st.integers(2, 8))
+    big = st.integers(-(2**50), -(2**49))
+    rows = [[draw(big) for _ in range(n)] for _ in range(n)]
+    return KernelMatrix(states=labels(n), entries=rows)
+
+
+def _oracle_verdicts(kernel, h):
+    """(A h = h, A h <= h) on the oracle's image: exact, or within kernel.tol
+    once the kernel or h holds a float."""
+    raw = [as_raw(v) for v in h]
+    image = mp_apply(raw_entries(kernel), raw)
+    floats = any(type(v) is float for row in (*kernel.entries, h) for v in row)
+    slack = kernel.tol if floats else 0
+    below = all(a <= b + slack for a, b in zip(image, raw))
+    return below and all(b <= a + slack for a, b in zip(image, raw)), below
+
+
+@given(
+    st.one_of(finite_kernels(), sparse_kernels(), fraction_kernels(), float_kernels(),
+              dense_huge_kernels()),
+    st.data(),
+)
+def test_function_checks_match_the_oracle(kernel, data):
+    # a star column of the normalized kernel (harmonic when its state is
+    # critical), moved by one step at one state, or by the constant
+    # -2^53 - 1 that keeps it harmonic and puts the sums past float64; with
+    # -inf at one state; as floats; and, for apply only, with +inf
+    try:
+        kernel = normalize(kernel, max_cycle_mean(kernel))
+    except NoCycle:
+        pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AssumptionViolatedWarning)
+        star = kleene_star(kernel)
+    n = kernel.n
+    j, x = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    h = [star.entries[i][j] for i in range(n)]
+    exact = not any(type(v) is float for row in kernel.entries for v in row)
+    values = [v for row in (*kernel.entries, h) for v in row if v is not NEG_INF]
+    q = math.lcm(*(Fraction(v).denominator for v in values)) if exact else 1
+    step = (Fraction(1, q) if q > 1 else 1) if exact else 2 * kernel.tol
+    cases = [h, [v if v is NEG_INF else v - 2**53 - 1 for v in h]]
+    if h[x] is not NEG_INF:
+        cases += [h[:x] + [h[x] + d] + h[x + 1 :] for d in (step, -step)]
+    cases.append(h[:x] + [NEG_INF] + h[x + 1 :])
+    if exact:
+        cases.append([v if v is NEG_INF else float(v) for v in h])
+    for g in cases:
+        want = mp_apply(raw_entries(kernel), [as_raw(v) for v in g])
+        got = [as_raw(v) for v in apply(kernel, g)]
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+        verdicts = is_harmonic(kernel, g), is_superharmonic(kernel, g)
+        assert verdicts == _oracle_verdicts(kernel, g)
+    up = h[:x] + [POS_INF] + h[x + 1 :]
+    assert [as_raw(v) for v in apply(kernel, up)] == mp_apply(
+        raw_entries(kernel), [as_raw(v) for v in up]
+    )
 
 
 @given(finite_kernels(max_n=5), st.integers(0, 4))

@@ -9,6 +9,7 @@ from conftest import (
     finite_kernels,
     float_kernels,
     float_twins,
+    labels,
     normalized_corpus_kernel,
     sparse_kernels,
 )
@@ -23,6 +24,7 @@ from maxplus_martin import (
     NotHarmonic,
     NotNormalized,
     PositiveCycle,
+    StarMatrix,
     extremal_witness,
     is_extremal,
     is_harmonic,
@@ -56,6 +58,27 @@ def test_recurrence_classes_partition_and_order():
     star = kleene_star(cycle)
     assert star.finite
     assert recurrence_classes(star) == [[0, 1, 2]]
+
+
+def test_recurrence_classes_are_cached_and_handed_out_fresh():
+    star = kleene_star(TWO_STATE)
+    groups = recurrence_classes(star)
+    groups[0].append(1)
+    groups.pop()
+    assert star.classes == ((0,), (1,))
+    assert recurrence_classes(star) == [[0], [1]]
+
+
+def test_recurrence_classes_close_a_tolerance_chain():
+    # s3 ~ s0 and s3 ~ s2 within the tolerance (1e-9 here), s0 ~ s2 only
+    # through them: the classes are the closure
+    e = 0.6e-9
+    source = KernelMatrix(labels(4), [[0.0] * 4] * 4)
+    rows = [[0, -3.0, -2.0, -1.0], [-3.0, 0, -3.0, -3.0],
+            [2 + 2 * e, -3.0, 0, -1.0], [1 + e, -3.0, 1 + e, 0]]
+    star = StarMatrix(tuple(map(tuple, rows)), source)
+    assert abs(rows[0][2] + rows[2][0]) > source.tol
+    assert recurrence_classes(star) == [[0, 2, 3], [1]]
 
 
 @given(finite_kernels(max_n=5))

@@ -1,9 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import normalized_corpus_kernel
+from conftest import (
+    finite_kernels,
+    float_kernels,
+    fraction_kernels,
+    labels,
+    normalized_corpus_kernel,
+)
+from oracles import as_raw, greedy_descent
 
 from maxplus_martin import (
     AssumptionViolated,
@@ -22,8 +31,10 @@ from maxplus_martin import (
     kleene_star,
     martin_kernel,
     matrix_power,
+    max_cycle_mean,
     minimal_martin_space,
     mu,
+    normalize,
     otimes,
     path_J,
     path_reward,
@@ -157,6 +168,28 @@ def test_downhill_tie_breaks_toward_lowest_index():
     path = downhill_path(TWO_STATE, h, start=1, eps=0.5, length=4)
     assert path.states == (1, 0, 0, 0, 0)
     assert path.times == (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("unit", [1, Fraction(1, 3), 0.5])
+def test_downhill_breaks_a_tie_past_the_first_state(unit):
+    # from s0 the steps to s1 and s2 both attain h(s0) = -1; s1 wins
+    rows = [[-9, -1, -1], [-9, 0, -9], [-9, -9, 0]]
+    kernel = KernelMatrix(labels(3), [[v * unit for v in row] for row in rows])
+    h = [-unit, 0 * unit, 0 * unit]
+    path = downhill_path(kernel, h, start=0, eps=0.5, length=3)
+    assert path.states == (0, 1, 1, 1)
+
+
+@given(st.one_of(finite_kernels(), fraction_kernels(), float_kernels()), st.data())
+def test_downhill_matches_the_greedy_oracle(kernel, data):
+    kernel = normalize(kernel, max_cycle_mean(kernel))
+    harmonic = [obj for obj in martin_kernel(kleene_star(kernel)) if obj.harmonic]
+    h = data.draw(st.sampled_from(harmonic)).column
+    start = data.draw(st.integers(0, kernel.n - 1))
+    path = downhill_path(kernel, h, start, 0.5, 3 * kernel.n)
+    raw = [[as_raw(v) for v in row] for row in kernel.entries]
+    want = greedy_descent(raw, [as_raw(v) for v in h], start, 3 * kernel.n)
+    assert list(path.states) == want
 
 
 def test_downhill_stays_in_an_attracting_state():
