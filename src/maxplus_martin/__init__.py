@@ -39,11 +39,9 @@ from .kernel import (
     KernelMatrix,
     StarMatrix,
     apply,
-    identity_grid,
     is_harmonic,
     is_superharmonic,
     kleene_star,
-    matmul,
     matrix_power,
     max_cycle_mean,
     normalize,

@@ -2,9 +2,11 @@
 
 Kernels travel as JSON ({"states", "matrix", "basepoint"}) or CSV with a
 header row and a label column.  Minus infinity is spelled "-inf" in both.
-Integer entries survive a round trip bit-exactly; everything else is
-rendered with 12 significant digits, which is also the precision used in
-CLI reports so outputs diff cleanly across runs.
+A kernel file is parsed once, token by token, straight into the kernel's
+array; its `entries` are built from the parsed rows only when something
+asks for them.  Integer entries survive a round trip bit-exactly;
+everything else is rendered with 12 significant digits, which is also the
+precision used in CLI reports so outputs diff cleanly across runs.
 """
 
 from __future__ import annotations
@@ -75,21 +77,47 @@ def kernel_to_dict(kernel: KernelMatrix) -> dict:
     }
 
 
+def _number(token, floats: list):
+    """A kernel-file token other than an int as an array number: an int or
+    float as parsed, -inf for an absent arc.  Every other float is also
+    appended to floats; +inf and NaN from text pass, for the kernel's checks."""
+    if token == "-inf":
+        return -math.inf
+    if isinstance(token, str):
+        v = parse_value(token)
+        if v is NEG_INF:
+            return -math.inf
+        v = math.inf if v is POS_INF else v
+    elif type(token) is float:
+        if token != token:
+            raise ValueError("NaN is not a max-plus value")
+        v = token
+    else:
+        raise DimensionMismatch(f"not a kernel value: {token!r}")
+    if type(v) is float and v != -math.inf:
+        floats.append(v)
+    return v
+
+
 def kernel_from_dict(data: dict) -> KernelMatrix:
     try:
-        states = [str(s) for s in data["states"]]
-        matrix = data["matrix"]
+        states, matrix = data["states"], data["matrix"]
     except (KeyError, TypeError) as exc:
         raise DimensionMismatch("kernel file needs 'states' and 'matrix'") from exc
-    entries = [[value_from_json(v) for v in row] for row in matrix]
+    if type(states) is not list:
+        raise DimensionMismatch("kernel file 'states' must be a list of labels")
+    if type(matrix) is not list or any(type(row) is not list for row in matrix):
+        raise DimensionMismatch("kernel file 'matrix' must be a list of rows")
+    states = [str(s) for s in states]
+    floats: list = []
+    rows = [
+        [v if type(v) is int else _number(v, floats) for v in row] for row in matrix
+    ]
     base_label = data.get("basepoint", states[0] if states else None)
-    if base_label is None or str(base_label) not in states:
+    if states and (base_label is None or str(base_label) not in states):
         raise DimensionMismatch(f"basepoint {base_label!r} is not a state")
-    return KernelMatrix(
-        states=tuple(states),
-        entries=entries,
-        basepoint=states.index(str(base_label)),
-    )
+    base = states.index(str(base_label)) if states else 0
+    return KernelMatrix._parsed(states, base, rows, floats)
 
 
 def load_kernel_json(path: str) -> KernelMatrix:
@@ -109,14 +137,11 @@ def load_kernel_csv(path: str) -> KernelMatrix:
     if len(rows) < 2:
         raise DimensionMismatch("kernel CSV needs a header and data rows")
     states = [c.strip() for c in rows[0][1:]]
-    entries = []
-    labels = []
-    for row in rows[1:]:
-        labels.append(row[0].strip())
-        entries.append([parse_value(c.strip()) for c in row[1:]])
-    if labels != states:
+    floats: list = []
+    entries = [[_number(c.strip(), floats) for c in row[1:]] for row in rows[1:]]
+    if [row[0].strip() for row in rows[1:]] != states:
         raise DimensionMismatch("row labels must match the header order")
-    return KernelMatrix(states=tuple(states), entries=entries, basepoint=0)
+    return KernelMatrix._parsed(states, 0, entries, floats)
 
 
 def save_kernel_csv(kernel: KernelMatrix, path: str) -> None:

@@ -177,39 +177,78 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def _tol(n: int, top) -> float:
+    """Float slack of every comparison on an n-state kernel whose float
+    entries reach magnitude top: TOL + n^2 top 2^-52.
+
+    A cycle sums up to n entries, each off by the rounding of a Karp mean
+    over up to n entries.  Comparisons stay exact on int and Fraction.
+    """
+    return TOL + n**2 * float(top) * 2.0**-52
+
+
+def _check(states: tuple[str, ...], rows, basepoint: int, pos_inf: bool):
+    """The checks every kernel passes, in the order they report."""
+    n = len(states)
+    if n == 0:
+        raise DimensionMismatch("kernel needs at least one state")
+    if len(set(states)) != n:
+        raise DimensionMismatch("state labels must be unique")
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DimensionMismatch(f"entries must form a {n}x{n} grid")
+    if pos_inf:
+        raise DimensionMismatch("kernel entries may not be +inf")
+    if not 0 <= basepoint < n:
+        raise DimensionMismatch("basepoint index out of range")
+
+
 class KernelMatrix:
-    """One-step kernel over a finite state space, with a preferred basepoint."""
+    """One-step kernel over a finite state space, with a preferred basepoint.
 
-    states: tuple[str, ...]
-    entries: Grid
-    basepoint: int = 0
+    A kernel read from a file or computed here lives on its array
+    (`scaled`); its `entries` are built on first use, with the values and
+    types the constructor would have kept.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(str(s) for s in self.states))
-        object.__setattr__(self, "entries", _freeze(self.entries))
-        n = len(self.states)
-        if n == 0:
-            raise DimensionMismatch("kernel needs at least one state")
-        if len(set(self.states)) != n:
-            raise DimensionMismatch("state labels must be unique")
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise DimensionMismatch(f"entries must form a {n}x{n} grid")
-        for row in self.entries:
-            for v in row:
-                if v is POS_INF:
-                    raise DimensionMismatch("kernel entries may not be +inf")
-        if not 0 <= self.basepoint < n:
-            raise DimensionMismatch("basepoint index out of range")
+    def __init__(self, states, entries, basepoint: int = 0):
+        rows = _freeze(entries)
+        states = tuple(str(s) for s in states)
+        _check(states, rows, basepoint, any(v is POS_INF for row in rows for v in row))
+        top = max(
+            (abs(v) for row in rows for v in row if isinstance(v, float)), default=0.0
+        )
+        tol = _tol(len(states), top)
+        _seeded(self, states=states, entries=rows, basepoint=basepoint, tol=tol)
 
     @classmethod
     def _computed(cls, states, basepoint, scaled: Scaled) -> KernelMatrix:
-        """A kernel whose entries come from an array this module computed."""
+        """A kernel on an array this module computed."""
         kernel = object.__new__(cls)
-        object.__setattr__(kernel, "states", states)
-        object.__setattr__(kernel, "entries", _grid(scaled.values()))
-        object.__setattr__(kernel, "basepoint", basepoint)
-        return _seeded(kernel, scaled=scaled)
+        return _seeded(kernel, states=states, basepoint=basepoint, scaled=scaled)
+
+    @classmethod
+    def _parsed(cls, states, basepoint: int, rows: list, floats: list) -> KernelMatrix:
+        """A kernel read from a file: rows of the ints and floats read, -inf
+        for an absent arc, and `floats` every other float read (+inf and NaN
+        included), in the constructor's order of checks."""
+        if any(v != v for v in floats):
+            raise DimensionMismatch("NaN is not a max-plus value")
+        states = tuple(states)
+        finite = [v for v in floats if v != math.inf]
+        _check(states, rows, basepoint, len(finite) < len(floats))
+        if finite:
+            scaled = Scaled(np.array(rows, dtype=float), 1, float)
+        else:
+            try:
+                scaled = Scaled(np.array(rows, dtype=float), 1, int)
+                exact = scaled.top < EXACT_LIMIT
+            except OverflowError:  # an int past the float range
+                exact = False
+            if not exact:
+                scaled = Scaled(np.array(rows, dtype=object), 1, int)
+        top = max(map(abs, finite), default=0)
+        kernel = cls._computed(states, basepoint, scaled)
+        return _seeded(kernel, _rows=rows, tol=_tol(len(states), top))
 
     @property
     def n(self) -> int:
@@ -221,23 +260,44 @@ class KernelMatrix:
         return scale(self.entries)
 
     @cached_property
-    def tol(self) -> float:
-        """Float slack of every comparison on this kernel: TOL + n^2 max|a| 2^-52.
+    def entries(self) -> Grid:
+        """The entries as semiring values: from the rows a file was read
+        into, which keep each entry's type, or else from the array."""
+        rows = self.__dict__.pop("_rows", None)
+        if rows is None:
+            return _grid(self.scaled.values())
+        return tuple(tuple(NEG_INF if v == _NINF else v for v in row) for row in rows)
 
-        A cycle sums up to n entries, each off by the rounding of a Karp mean
-        over up to n entries.  Comparisons stay exact on int and Fraction.
-        """
-        top = max(
-            (abs(v) for row in self.entries for v in row if isinstance(v, float)),
-            default=0.0,
-        )
-        return TOL + self.n**2 * top * 2.0**-52
+    @cached_property
+    def tol(self) -> float:
+        """Float slack of every comparison on this kernel (see _tol)."""
+        scaled = self.scaled
+        return _tol(self.n, scaled.top if scaled.kind is float else 0)
 
     def index(self, label: str) -> int:
         try:
             return self.states.index(str(label))
         except ValueError:
             raise DimensionMismatch(f"unknown state label {label!r}") from None
+
+    def __eq__(self, other):
+        if not isinstance(other, KernelMatrix):
+            return NotImplemented
+        return (self.states, self.entries, self.basepoint) == (
+            other.states, other.entries, other.basepoint
+        )
+
+    def __hash__(self):
+        return hash((self.states, self.entries, self.basepoint))
+
+    def __repr__(self):
+        return (
+            f"KernelMatrix(states={self.states!r}, entries={self.entries!r}, "
+            f"basepoint={self.basepoint!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def _slack(kernel: KernelMatrix) -> float:
@@ -246,25 +306,13 @@ def _slack(kernel: KernelMatrix) -> float:
     return kernel.tol if kernel.scaled.kind is float else 0
 
 
-def identity_grid(n: int) -> Grid:
-    return tuple(
-        tuple(0 if i == j else NEG_INF for j in range(n)) for i in range(n)
-    )
-
-
-def matmul(a: Grid, b: Grid) -> Grid:
-    """Max-plus matrix product: (ab)[i][j] = max_k a[i][k] + b[k][j]."""
-    both = scale(tuple(a) + tuple(b))
-    array = both.exact(2)
-    return _grid(both.values(_product(array[: len(a)], array[len(a) :])))
-
-
 def matrix_power(kernel: KernelMatrix, t: int) -> KernelMatrix:
     """t-step kernel A^t by binary exponentiation; A^0 is the identity."""
     if not isinstance(t, int) or t < 0:
         raise DimensionMismatch("power must be a nonnegative integer")
     if t == 0:
-        return KernelMatrix(kernel.states, identity_grid(kernel.n), kernel.basepoint)
+        eye = Scaled(np.where(np.eye(kernel.n, dtype=bool), 0.0, _NINF), 1, int)
+        return KernelMatrix._computed(kernel.states, kernel.basepoint, eye)
     if t == 1:
         return kernel
     scaled = kernel.scaled
@@ -293,29 +341,32 @@ def _function(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
         raise DimensionMismatch(str(exc)) from None
 
 
-def _sums(kernel: KernelMatrix, g: Sequence[Value]):
-    """The sums A<x,y> + g(y), g, and the kernel's Scaled, on one array: float
-    when either holds a float, else on a shared denominator, in Python ints
-    when a sum could reach 2^53."""
-    if kernel.scaled.kind is float or float in set(map(type, g)):
-        grid = kernel.scaled.to(1, float)
+def _on_grid(grid: Scaled, g: Sequence[Value], terms: int = 2):
+    """A grid and a function on one array: float when either holds a float,
+    else on the lcm of their denominators, in Python ints when a sum of
+    `terms` numbers could reach 2^53.  Returns the grid's array, g's row and
+    the grid's Scaled on that scale, which reads values back."""
+    if grid.kind is float or float in set(map(type, g)):
+        grid = grid.to(1, float)
         g = np.array([_NINF if v is NEG_INF else v for v in g], dtype=float)
-        return grid.array + g, g, grid
-    g = scale([g], kernel.scaled.q)
-    q, kind = joint(kernel.scaled, g)
-    grid, g = kernel.scaled.to(q, kind), g.to(q, kind)
-    a, g = grid.exact(2), g.exact(2)[0]
-    if a.dtype != g.dtype:
-        a, g = _python_ints(a), _python_ints(g)
-    return a + g, g, grid
+        return grid.array, g, grid
+    fractions = [v.denominator for v in g if isinstance(v, Fraction)]
+    q = math.lcm(grid.q, *fractions)
+    grid = grid.to(q, Fraction if fractions else grid.kind)
+    ints = [_NINF if v is NEG_INF else v.numerator * (q // v.denominator) for v in g]
+    top = max(map(abs, filter(_NINF.__ne__, ints)), default=0)
+    a = grid.exact(terms)
+    if a.dtype == object or terms * top >= EXACT_LIMIT:
+        return _python_ints(a), np.array(ints, dtype=object), grid
+    return a, np.array(ints, dtype=float), grid
 
 
 def apply(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
     """Act on a function: (A g)(x) = max_y A<x,y> + g(y)."""
     g = _function(kernel, g)
     up = [y for y, v in enumerate(g) if v is POS_INF]
-    sums, _, grid = _sums(kernel, [NEG_INF if v is POS_INF else v for v in g])
-    image = grid.values(sums.max(axis=1)[None])[0]
+    a, row, grid = _on_grid(kernel.scaled, [NEG_INF if v is POS_INF else v for v in g])
+    image = grid.values((a + row).max(axis=1)[None])[0]
     if up:  # +inf wins wherever an arc reaches it; -inf absorbs it
         hit = (kernel.scaled.array[:, up] != _NINF).any(axis=1).tolist()
         image = [POS_INF if reach else v for reach, v in zip(hit, image)]
@@ -400,16 +451,23 @@ def normalize(kernel: KernelMatrix, lam: Value) -> KernelMatrix:
     return KernelMatrix._computed(kernel.states, kernel.basepoint, result)
 
 
-@dataclass(frozen=True)
 class StarMatrix:
-    """Kleene star A* of a kernel, keeping a handle on its source."""
+    """Kleene star A* of a kernel, keeping a handle on its source.
 
-    entries: Grid
-    source: KernelMatrix
+    A star made by kleene_star lives on its array; its `entries` are built
+    on first use, with the int 0 of the diagonal.
+    """
+
+    def __init__(self, entries, source: KernelMatrix):
+        _seeded(self, entries=_grid(entries), source=source)
+
+    @classmethod
+    def _computed(cls, source: KernelMatrix, scaled: Scaled) -> StarMatrix:
+        return _seeded(object.__new__(cls), source=source, scaled=scaled)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return self.source.n
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -420,6 +478,13 @@ class StarMatrix:
         return self.source.basepoint
 
     @cached_property
+    def entries(self) -> Grid:
+        rows = self.scaled.values()
+        for i in range(self.n):
+            rows[i][i] = 0
+        return _grid(rows)
+
+    @cached_property
     def scaled(self) -> Scaled:
         """The entries as one array, on the source kernel's denominator."""
         return scale(self.entries, self.source.scaled.q)
@@ -427,7 +492,10 @@ class StarMatrix:
     @cached_property
     def finite(self) -> bool:
         """True when every entry is finite (the standing assumption)."""
-        return all(v is not NEG_INF for row in self.entries for v in row)
+        return not (self.scaled.array == _NINF).any()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -479,14 +547,7 @@ def kleene_star(kernel: KernelMatrix) -> StarMatrix:
             f"cycle through state {kernel.states[over[0]]!r} has positive weight"
         )
     m.flat[:: n + 1] = 0
-    rows = scaled.values(m)
-    for i in range(n):
-        rows[i][i] = 0
-    star = _seeded(
-        StarMatrix(_grid(rows), kernel),
-        scaled=Scaled(m, scaled.q, scaled.kind),
-        finite=not (m == _NINF).any(),
-    )
+    star = StarMatrix._computed(kernel, Scaled(m, scaled.q, scaled.kind))
     if not star.finite:
         warnings.warn(
             "star kernel has -inf entries; Martin operations will refuse it",
@@ -496,13 +557,16 @@ def kleene_star(kernel: KernelMatrix) -> StarMatrix:
     return star
 
 
-def _fixed(kernel: KernelMatrix, h: Sequence[Value], sub: bool = False):
-    """Whether A h = h (A h <= h when sub), and the sums A<x,y> + h(y) that
-    decided it: exact, or within kernel.tol with a float; -inf matches only -inf."""
+def _fixed(kernel: KernelMatrix, h: Sequence[Value], sub: bool = False, terms: int = 2):
+    """Whether A h = h (A h <= h when sub), the sums A<x,y> + h(y) that
+    decided it, h's row and the Scaled they are on (see _on_grid, which
+    `terms` is passed to): exact, or within kernel.tol with a float; -inf
+    matches only -inf."""
     h = _function(kernel, h)
     if any(v is POS_INF for v in h):
         raise DimensionMismatch("harmonic candidates may not take +inf")
-    sums, g, grid = _sums(kernel, h)
+    a, g, grid = _on_grid(kernel.scaled, h, terms)
+    sums = a + g
     image = sums.max(axis=1)
     if grid.kind is not float:
         ok = image <= g if sub else image == g
@@ -510,7 +574,7 @@ def _fixed(kernel: KernelMatrix, h: Sequence[Value], sub: bool = False):
         ok = image <= g + kernel.tol
     else:
         ok = (image <= g + kernel.tol) & (g <= image + kernel.tol)
-    return all(ok.tolist()), sums
+    return all(ok.tolist()), sums, g, grid
 
 
 def is_harmonic(kernel: KernelMatrix, h: Sequence[Value]) -> bool:

@@ -13,13 +13,22 @@ such combination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AssumptionViolated, DimensionMismatch, NotHarmonic, NotNormalized
-from .kernel import KernelMatrix, StarMatrix, _product, _slack, is_harmonic
-from .semiring import NEG_INF, Value, oplus, otimes, values_close
+from .errors import AssumptionViolated, NotHarmonic, NotNormalized
+from .kernel import (
+    StarMatrix,
+    _fixed,
+    _function,
+    _on_grid,
+    _product,
+    _python_ints,
+    _slack,
+)
+from .semiring import NEG_INF, POS_INF, Value, oplus, otimes
 
 
 def _require_finite(star: StarMatrix):
@@ -123,6 +132,29 @@ def natural_kernel(star: StarMatrix) -> tuple[tuple[Value, ...], ...]:
     )
 
 
+def _on_star(h, star: StarMatrix, terms: int, why: str):
+    """The star's array and h's row on one scale, exact for sums of `terms`
+    numbers, once A h = h holds for the star's source (NotHarmonic(why) if
+    not); also the Scaled that reads values back."""
+    harmonic, _, g, grid = _fixed(star.source, h, terms=terms)
+    if not harmonic:
+        raise NotHarmonic(why)
+    s = star.scaled.to(grid.q, grid.kind).exact(terms)
+    if s.dtype != g.dtype:
+        s, g = _python_ints(s), _python_ints(g)
+    return s, g, grid
+
+
+def _measure(s: np.ndarray, g: np.ndarray, groups, b: int) -> np.ndarray:
+    """mu_h(w) = max_{x in w} A*<b,x> + h(x) for each group w of members, from
+    the star's array s and h's row g on one scale."""
+    if not groups:
+        return g[:0]
+    members = [x for group in groups for x in group]
+    starts = list(accumulate((len(group) for group in groups[:-1]), initial=0))
+    return np.maximum.reduceat((s[b] + g)[members], starts)
+
+
 def mu(xi: Sequence[Value], eta: MartinObject, star: StarMatrix) -> Value:
     """Boundary measure of xi at the class eta.
 
@@ -131,18 +163,11 @@ def mu(xi: Sequence[Value], eta: MartinObject, star: StarMatrix) -> Value:
     mu_xi(eta) = max_{x in eta} A*<b,x> + xi(x).
     """
     _require_finite(star)
-    if len(xi) != star.n:
-        raise DimensionMismatch(
-            f"function has {len(xi)} values for {star.n} states"
-        )
-    b = star.basepoint
-    e = star.entries
-    best = NEG_INF
-    for x in eta.members:
-        v = otimes(e[b][x], xi[x])
-        if best < v:
-            best = v
-    return best
+    xi = _function(star.source, xi)
+    if any(xi[x] is POS_INF for x in eta.members):
+        return POS_INF
+    s, g, grid = _on_grid(star.scaled, [NEG_INF if v is POS_INF else v for v in xi])
+    return grid.value(_measure(s, g, [eta.members], star.basepoint)[0])
 
 
 def H(eta: MartinObject, xi: MartinObject, star: StarMatrix) -> Value:
@@ -162,9 +187,10 @@ def spectral_measure(
     Raises NotHarmonic unless A h = h for the source kernel.
     """
     _require_finite(star)
-    if not is_harmonic(star.source, h):
-        raise NotHarmonic("spectral measures exist only for harmonic functions")
-    return {w: mu(h, w, star) for w in minimal}
+    why = "spectral measures exist only for harmonic functions"
+    s, g, grid = _on_star(h, star, 2, why)
+    measure = _measure(s, g, [w.members for w in minimal], star.basepoint)
+    return dict(zip(minimal, grid.values(measure[None])[0]))
 
 
 def represent(nu: Mapping[MartinObject, Value], star: StarMatrix) -> tuple[Value, ...]:
@@ -187,19 +213,19 @@ def extremal_witness(
     exists.
     """
     _require_finite(star)
-    if not is_harmonic(star.source, h):
-        raise NotHarmonic("extremality is defined for harmonic functions")
-    tol = star.source.tol
-    if not values_close(h[star.basepoint], 0, tol):
+    # h = mu_h(w) + w sums four numbers: three star entries and a value of h
+    s, g, grid = _on_star(h, star, 4, "extremality is defined for harmonic functions")
+    tol = star.source.tol if grid.kind is float else 0
+    b = star.basepoint
+    if not (g[b] <= tol and -tol <= g[b]):
         raise NotNormalized("extremality expects h(basepoint) = 0")
-    for w in minimal:
-        c = mu(h, w, star)
-        if all(
-            values_close(h[x], otimes(c, w.column[x]), tol)
-            for x in range(star.n)
-        ):
-            return w
-    return None
+    measure = _measure(s, g, [w.members for w in minimal], b)
+    columns = s[:, [w.representative for w in minimal]]
+    target = measure + (columns - columns[b])
+    g = g[:, None]
+    close = (g <= target + tol) & (target <= g + tol) if tol else g == target
+    hit = np.flatnonzero(close.all(axis=0))
+    return minimal[hit[0]] if hit.size else None
 
 
 def is_extremal(

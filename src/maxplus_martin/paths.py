@@ -32,7 +32,6 @@ from .kernel import (
     _python_ints,
     joint,
     matrix_power,
-    scale,
 )
 from .martin import MartinObject, _martin_objects, _require_finite, recurrence_classes
 from .semiring import NEG_INF, POS_INF, Value, le_close, otimes
@@ -58,21 +57,28 @@ class DiscretePath:
 
 
 def _check_states(kernel: KernelMatrix, path: DiscretePath):
-    if any(not 0 <= s < kernel.n for s in path.states):
+    if min(path.states) < 0 or max(path.states) >= kernel.n:
         raise DimensionMismatch("path visits a state outside the kernel")
+
+
+def _steps(kernel: KernelMatrix, path: DiscretePath) -> Scaled:
+    """Per-step rewards A^{dt}<x_k, x_{k+1}> as one row on the kernel's array."""
+    _check_states(kernel, path)
+    dts = [b - a for a, b in zip(path.times, path.times[1:])]
+    powers = {dt: matrix_power(kernel, dt).scaled.array for dt in set(dts)}
+    dtype = float
+    if any(p.dtype == object for p in powers.values()):
+        powers = {dt: _python_ints(p) for dt, p in powers.items()}
+        dtype = object
+    xs = path.states
+    out = [powers[dt][x, y] for dt, x, y in zip(dts, xs, xs[1:])]
+    scaled = kernel.scaled
+    return Scaled(np.array([out], dtype=dtype), scaled.q, scaled.kind)
 
 
 def step_rewards(kernel: KernelMatrix, path: DiscretePath) -> list[Value]:
     """Per-step rewards A^{dt}<x_k, x_{k+1}> along the sampled path."""
-    _check_states(kernel, path)
-    powers: dict[int, KernelMatrix] = {}
-    out = []
-    for k in range(len(path) - 1):
-        dt = path.times[k + 1] - path.times[k]
-        if dt not in powers:
-            powers[dt] = matrix_power(kernel, dt)
-        out.append(powers[dt].entries[path.states[k]][path.states[k + 1]])
-    return out
+    return _steps(kernel, path).values()[0]
 
 
 def path_reward(
@@ -110,7 +116,7 @@ def almost_geodesic_excess(
     are one masked array on the star's array: row i of the cumulative step
     rewards from sample i against row x_i of the star.
     """
-    steps = scale([step_rewards(kernel, path)])
+    steps = _steps(kernel, path)
     q, kind = joint(star.scaled, steps)
     target = star.scaled.to(q, kind)
     reward = steps.to(q, kind).array[0]
@@ -120,13 +126,14 @@ def almost_geodesic_excess(
             target = Scaled(_python_ints(target.array), q, kind)
             reward = _python_ints(reward)
     # achieved[i, j-1] = reward of samples i..j, summed from i as a walk would
-    achieved = np.cumsum(np.triu(np.broadcast_to(reward, (len(reward),) * 2)), axis=1)
-    xs = list(path.states)
-    goal = target.array[np.ix_(xs[:-1], xs[1:])]
-    pairs = np.triu(goal != -np.inf)
+    upper = ~np.tri(len(reward), k=-1, dtype=bool)
+    achieved = np.cumsum(np.where(upper, reward, 0), axis=1)
+    xs = path.states
+    goal = target.array[np.array(xs[:-1], dtype=int)[:, None], xs[1:]]
+    pairs = upper & (goal != -np.inf)
     if (pairs & (achieved == -np.inf)).any():
         return POS_INF
-    worst = np.where(pairs, goal - achieved, 0).max(initial=0)
+    worst = (np.where(pairs, goal, 0) - np.where(pairs, achieved, 0)).max(initial=0)
     return target.value(worst) if worst > 0 else 0
 
 
@@ -209,7 +216,7 @@ def downhill_path(
         raise DimensionMismatch("length must be nonnegative")
     if not 0 <= start < kernel.n:
         raise DimensionMismatch("start state out of range")
-    harmonic, sums = _fixed(kernel, h)
+    harmonic, sums, _, _ = _fixed(kernel, h)
     if not harmonic:
         raise NotHarmonic("downhill construction needs a harmonic function")
     if sums[start].max() == -np.inf:  # max_y A<x,y> + h(y) = h(x) = -inf

@@ -60,6 +60,68 @@ def greedy_descent(entries, h, start, length):
     return states
 
 
+def boundary_measure(star, b, h, members):
+    """mu_h(w) = max over x in w of A*[b][x] + h(x), term by term.
+
+    -inf absorbs, also against +inf; a class where every term is -inf
+    gives -inf.
+    """
+    best = NEG
+    for x in members:
+        if star[b][x] != NEG and h[x] != NEG and star[b][x] + h[x] > best:
+            best = star[b][x] + h[x]
+    return best
+
+
+def extremal_class(star, b, h, classes, tol):
+    """Index of the first class w with h(x) = mu_h(w) + A*[x][r] - A*[b][r]
+    at every x, r the first member of w, or None.  -inf matches only -inf;
+    two values with a float among them match within tol."""
+    for i, members in enumerate(classes):
+        c = boundary_measure(star, b, h, members)
+        r = members[0]
+        ok = True
+        for x in range(len(h)):
+            want = NEG if c == NEG else c + (star[x][r] - star[b][r])
+            if want == NEG or h[x] == NEG:
+                ok = ok and want == h[x]
+            elif isinstance(want, float) or isinstance(h[x], float):
+                ok = ok and abs(h[x] - want) <= tol
+            else:
+                ok = ok and h[x] == want
+        if ok:
+            return i
+    return None
+
+
+def geodesic_excess(star, entries, times, states):
+    """max over sample pairs i < j of A*[x_i][x_j] minus the summed step
+    rewards A^dt[x_k][x_k+1] from i to j, and 0; +inf when a finite star
+    entry faces a segment with an impossible step."""
+    powers = {}
+    steps = []
+    for k in range(len(times) - 1):
+        dt = times[k + 1] - times[k]
+        if dt not in powers:
+            power = entries
+            for _ in range(dt - 1):
+                power = mp_matmul(power, entries)
+            powers[dt] = power
+        steps.append(powers[dt][states[k]][states[k + 1]])
+    worst = 0
+    for i in range(len(states)):
+        acc = 0
+        for j in range(i + 1, len(states)):
+            acc = NEG if NEG in (acc, steps[j - 1]) else acc + steps[j - 1]
+            goal = star[states[i]][states[j]]
+            if goal == NEG:
+                continue
+            if acc == NEG:
+                return math.inf
+            worst = max(worst, goal - acc)
+    return worst
+
+
 def brute_star(entries, horizon):
     """Elementwise sup of A^t for t = 0..horizon, identity included."""
     n = len(entries)

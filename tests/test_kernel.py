@@ -37,7 +37,6 @@ from maxplus_martin import (
     is_harmonic,
     is_superharmonic,
     kleene_star,
-    matmul,
     matrix_power,
     max_cycle_mean,
     normalize,
@@ -67,15 +66,6 @@ def test_kernel_validation():
     assert k.index("b") == 1
     with pytest.raises(DimensionMismatch):
         k.index("zz")
-
-
-@given(sparse_kernels(max_n=4), sparse_kernels(max_n=4))
-def test_matmul_matches_oracle(a, b):
-    if a.n != b.n:
-        return
-    got = matmul(a.entries, b.entries)
-    want = mp_matmul(raw_entries(a), raw_entries(b))
-    assert [[as_raw(v) for v in row] for row in got] == want
 
 
 @given(sparse_kernels(max_n=4), st.integers(0, 6))

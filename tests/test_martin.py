@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from conftest import (
     finite_kernels,
     float_kernels,
     float_twins,
+    fraction_kernels,
     labels,
     normalized_corpus_kernel,
     sparse_kernels,
 )
+from oracles import as_raw, boundary_measure, extremal_class
 
 from maxplus_martin import (
     AssumptionViolated,
@@ -23,6 +26,7 @@ from maxplus_martin import (
     NoCycle,
     NotHarmonic,
     NotNormalized,
+    POS_INF,
     PositiveCycle,
     StarMatrix,
     extremal_witness,
@@ -310,3 +314,65 @@ def test_mu_and_H_worked_values():
     assert mu([0, 0], b, star) == -1
     assert H(a, b, star) == otimes(star.entries[0][0], b.column[0])
     assert mu([NEG_INF, NEG_INF], a, star) is NEG_INF
+
+
+def _times(kernel, unit):
+    return KernelMatrix(kernel.states, [[v * unit for v in row] for row in kernel.entries])
+
+
+corpus_kernels = st.integers(0, 2**32 - 1).map(
+    lambda seed: normalized_corpus_kernel(np.random.default_rng(seed), max_n=5))
+
+# normalized kernels of each kind, and the type of every value they yield;
+# "huge" sums of four entries pass 2^53, so they run on Python ints
+KINDS = {
+    "int": (corpus_kernels, int),
+    "huge": (corpus_kernels.map(lambda k: _times(k, 2**50 + 1)), int),
+    "fraction": (fraction_kernels(max_n=5), Fraction),
+    "float": (float_kernels(max_n=6).map(
+        lambda k: normalize(k, max_cycle_mean(k))), float),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@given(data=st.data())
+def test_measures_and_witness_match_the_oracle(kind, data):
+    kernels, vtype = KINDS[kind]
+    kernel = data.draw(kernels)
+    base = data.draw(st.integers(0, kernel.n - 1))
+    kernel = KernelMatrix(kernel.states, kernel.entries, base)
+    star = kleene_star(kernel)
+    objects = martin_kernel(star)
+    minimal = [obj for obj in objects if obj.harmonic]
+    entries = [[as_raw(v) for v in row] for row in star.entries]
+    b = star.basepoint
+    # each column, and a combination of all of them with h(b) = 0
+    weights = [0] + data.draw(st.lists(st.integers(-3, 0), min_size=len(minimal) - 1,
+                                       max_size=len(minimal) - 1))
+    functions = [w.column for w in minimal]
+    functions.append(represent(dict(zip(minimal, weights)), star))
+    for h in functions:
+        if not is_harmonic(kernel, h):
+            continue
+        raw = [as_raw(v) for v in h]
+        measure = spectral_measure(h, minimal, star)
+        assert list(measure) == minimal
+        assert [as_raw(v) for v in measure.values()] == [
+            boundary_measure(entries, b, raw, w.members) for w in minimal
+        ]
+        assert all(type(v) is vtype for v in measure.values())
+        want = extremal_class(entries, b, raw, [list(w.members) for w in minimal],
+                              kernel.tol)
+        witness = extremal_witness(h, minimal, star)
+        assert witness is (None if want is None else minimal[want])
+    # mu takes any function: -inf and +inf included
+    values = st.one_of(st.integers(-9, 9), st.just(NEG_INF), st.just(POS_INF))
+    if vtype is float:
+        values = st.one_of(values, st.integers(-9000, 9000).map(lambda m: m / 1000))
+    xi = data.draw(st.lists(values, min_size=star.n, max_size=star.n))
+    for obj in objects:
+        got = mu(xi, obj, star)
+        assert as_raw(got) == boundary_measure(entries, b, [as_raw(v) for v in xi],
+                                               obj.members)
+        if got is not NEG_INF and got is not POS_INF:
+            assert type(got) is vtype

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,9 @@ from conftest import (
     fraction_kernels,
     labels,
     normalized_corpus_kernel,
+    sparse_kernels,
 )
-from oracles import as_raw, greedy_descent
+from oracles import as_raw, geodesic_excess, greedy_descent
 
 from maxplus_martin import (
     AssumptionViolated,
@@ -21,7 +23,10 @@ from maxplus_martin import (
     HMinusInfinityAtStart,
     KernelMatrix,
     NEG_INF,
+    NoCycle,
     NotHarmonic,
+    POS_INF,
+    PositiveCycle,
     almost_geodesic_excess,
     almost_optimal_excess,
     downhill_path,
@@ -39,7 +44,11 @@ from maxplus_martin import (
     path_J,
     path_reward,
 )
-from maxplus_martin.errors import NotAlmostGeodesic, NotEventuallyConstant
+from maxplus_martin.errors import (
+    AssumptionViolatedWarning,
+    NotAlmostGeodesic,
+    NotEventuallyConstant,
+)
 from maxplus_martin.paths import step_rewards
 
 TWO_STATE = KernelMatrix(states=("a", "b"), entries=[[0, -1], [-1, 0]])
@@ -112,6 +121,39 @@ def test_geodesic_excess_matches_pairwise_brute_force(seed):
     assert is_almost_geodesic(path, worst, kernel, star)
     if worst > 0:
         assert not is_almost_geodesic(path, worst - 1, kernel, star)
+
+
+# dense integer kernels whose walks of a few steps pass 2^53
+huge_kernels = finite_kernels().map(lambda k: KernelMatrix(
+    k.states, [[v * (2**50 + 1) - 2**52 - 3 for v in row] for row in k.entries]))
+
+
+@given(st.one_of(finite_kernels(), sparse_kernels(), fraction_kernels(), float_kernels(),
+                 huge_kernels), st.data())
+def test_geodesic_excess_matches_the_oracle(kernel, data):
+    try:
+        kernel = normalize(kernel, max_cycle_mean(kernel))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AssumptionViolatedWarning)
+            star = kleene_star(kernel)
+    except (NoCycle, PositiveCycle):
+        return
+    m = data.draw(st.integers(1, 6))
+    states = data.draw(st.lists(st.integers(0, kernel.n - 1), min_size=m, max_size=m))
+    steps = data.draw(st.lists(st.integers(1, 3), min_size=m - 1, max_size=m - 1))
+    times = [0]
+    for dt in steps:
+        times.append(times[-1] + dt)
+    got = almost_geodesic_excess(kernel, star, DiscretePath(times, states))
+    raw = [[as_raw(v) for v in row] for row in kernel.entries]
+    want = geodesic_excess([[as_raw(v) for v in row] for row in star.entries], raw,
+                           times, states)
+    if kernel.scaled.kind is float:
+        # powers sum their floats in another order than the oracle's
+        assert as_raw(got) == pytest.approx(want, rel=1e-12, abs=kernel.tol)
+    else:
+        assert as_raw(got) == want
+        assert type(got) in (int, kernel.scaled.kind) or got is POS_INF
 
 
 def test_almost_optimal_worked_example():
