@@ -57,7 +57,7 @@ def main():
     for obj in objects:
         members = ", ".join(kernel.states[i] for i in obj.members)
         tags = [t for t, on in (("harmonic", obj.harmonic),
-                                ("minimal", obj.minimal)) if on]
+                                ("minimal", obj.harmonic)) if on]
         column = " ".join(format_value(v) for v in obj.column)
         print(f"  class {{{members}}}: ({column}) {' '.join(tags)}")
 

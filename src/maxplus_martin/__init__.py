@@ -33,7 +33,6 @@ from .semiring import (
     oplus,
     otimes,
     parse_value,
-    values_close,
 )
 from .kernel import (
     KernelMatrix,

@@ -177,7 +177,7 @@ def cmd_martin(args) -> int:
             "representative": star.states[obj.representative],
             "members": [star.states[m] for m in obj.members],
             "harmonic": obj.harmonic,
-            "minimal": obj.minimal,
+            "minimal": obj.harmonic,
             "column": {
                 s: value_to_json(v) for s, v in zip(star.states, obj.column)
             },

@@ -56,12 +56,13 @@ def _freeze(rows) -> Grid:
 
 
 def _python_ints(array: np.ndarray) -> np.ndarray:
-    """An array of integral values as Python ints (object dtype), -inf kept."""
+    """An array of integral values as Python ints (object dtype), -inf kept;
+    a float array holds integers below 2^53, which int64 holds exactly."""
     if array.dtype == object:
         return array
-    out = array.astype(object)
     finite = array != _NINF
-    out[finite] = [int(v) for v in array[finite].tolist()]
+    out = np.where(finite, array, 0).astype(np.int64).astype(object)
+    out[~finite] = _NINF
     return out
 
 
@@ -99,7 +100,7 @@ class Scaled:
         if q == self.q and kind is self.kind:
             return self
         if kind is float:
-            return Scaled((self.array / self.q).astype(float), 1, float)
+            return Scaled(_float_array(self.array, self.q), 1, float)
         factor = q // self.q
         return Scaled(self.exact(factor) * factor, q, kind)
 
@@ -132,8 +133,8 @@ def scale(rows, q: int = 1) -> Scaled:
     """
     flat = [v for row in rows for v in row]
     if any(issubclass(t, float) for t in set(map(type, flat))):
-        array = [[_NINF if v is NEG_INF else float(v) for v in row] for row in rows]
-        return Scaled(np.array(array, dtype=float), 1, float)
+        array = [[_NINF if v is NEG_INF else v for v in row] for row in rows]
+        return Scaled(_float_array(array), 1, float)
     denominators = [v.denominator for v in flat if isinstance(v, Fraction)]
     q = math.lcm(q, *denominators)
     ints = [
@@ -144,6 +145,15 @@ def scale(rows, q: int = 1) -> Scaled:
     kind = Fraction if denominators or q > 1 else int
     dtype = float if top < EXACT_LIMIT else object
     return _seeded(Scaled(np.array(ints, dtype=dtype), q, kind), top=top)
+
+
+def _float_array(values, q: int = 1) -> np.ndarray:
+    """values / q as floats, each rounded once; an int past the float range
+    is a DimensionMismatch."""
+    try:
+        return np.array(values, dtype=float) if q == 1 else (values / q).astype(float)
+    except OverflowError:
+        raise DimensionMismatch("int entry too large for a float kernel") from None
 
 
 def _seeded(obj, **cached):
@@ -178,7 +188,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _tol(n: int, top) -> float:
-    """Float slack of every comparison on an n-state kernel whose float
+    """Float slack of every comparison on an n-state float kernel whose
     entries reach magnitude top: TOL + n^2 top 2^-52.
 
     A cycle sums up to n entries, each off by the rounding of a Karp mean
@@ -214,11 +224,7 @@ class KernelMatrix:
         rows = _freeze(entries)
         states = tuple(str(s) for s in states)
         _check(states, rows, basepoint, any(v is POS_INF for row in rows for v in row))
-        top = max(
-            (abs(v) for row in rows for v in row if isinstance(v, float)), default=0.0
-        )
-        tol = _tol(len(states), top)
-        _seeded(self, states=states, entries=rows, basepoint=basepoint, tol=tol)
+        _seeded(self, states=states, entries=rows, basepoint=basepoint)
 
     @classmethod
     def _computed(cls, states, basepoint, scaled: Scaled) -> KernelMatrix:
@@ -237,7 +243,7 @@ class KernelMatrix:
         finite = [v for v in floats if v != math.inf]
         _check(states, rows, basepoint, len(finite) < len(floats))
         if finite:
-            scaled = Scaled(np.array(rows, dtype=float), 1, float)
+            scaled = Scaled(_float_array(rows), 1, float)
         else:
             try:
                 scaled = Scaled(np.array(rows, dtype=float), 1, int)
@@ -246,9 +252,7 @@ class KernelMatrix:
                 exact = False
             if not exact:
                 scaled = Scaled(np.array(rows, dtype=object), 1, int)
-        top = max(map(abs, finite), default=0)
-        kernel = cls._computed(states, basepoint, scaled)
-        return _seeded(kernel, _rows=rows, tol=_tol(len(states), top))
+        return _seeded(cls._computed(states, basepoint, scaled), _rows=rows)
 
     @property
     def n(self) -> int:
@@ -270,7 +274,8 @@ class KernelMatrix:
 
     @cached_property
     def tol(self) -> float:
-        """Float slack of every comparison on this kernel (see _tol)."""
+        """Float slack of every comparison on this kernel (see _tol), from
+        the largest entry of its float array, ints included; TOL when exact."""
         scaled = self.scaled
         return _tol(self.n, scaled.top if scaled.kind is float else 0)
 
@@ -300,10 +305,18 @@ class KernelMatrix:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _slack(kernel: KernelMatrix) -> float:
-    """Comparison slack on the kernel's array: its tol on a float kernel, 0
-    on an exact one, whose array holds integers."""
-    return kernel.tol if kernel.scaled.kind is float else 0
+def _slack(kernel: KernelMatrix, kind: type) -> float:
+    """Comparison slack on an array of the kernel's values of `kind`: the
+    kernel's tol on floats, 0 on the integers of an exact array."""
+    return kernel.tol if kind is float else 0
+
+
+def _close(a, b, slack):
+    """Elementwise a = b: exact when slack is 0, else within slack either
+    way; -inf matches only -inf."""
+    if not slack:
+        return a == b
+    return (a <= b + slack) & (b <= a + slack)
 
 
 def matrix_power(kernel: KernelMatrix, t: int) -> KernelMatrix:
@@ -374,12 +387,14 @@ def apply(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
 
 
 def max_cycle_mean(kernel: KernelMatrix) -> Value:
-    """Largest mean weight of a cycle, by Karp's recursion.
+    """Largest mean weight of a cycle, by Karp's min-max
+    max_v min_k (D_n(v) - D_k(v)) / (n - k), D_k(v) the best k-step walk to v.
 
     Runs the walk recursion from every vertex at once (equivalent to a
-    zero-weight super source), so reducible kernels are handled too.  On
-    integer entries the result is exact: an int when integral, otherwise
-    a Fraction.
+    zero-weight super source), so reducible kernels are handled too.  Floats
+    divide by n - k.  Exact kinds take each ratio times lcm(1..n) instead,
+    an integer, so the result is exact: an int when integral, otherwise a
+    Fraction.
 
     Raises NoCycle when the graph of finite arcs is acyclic.
     """
@@ -389,43 +404,24 @@ def max_cycle_mean(kernel: KernelMatrix) -> Value:
     walks = [np.zeros(n, dtype=a.dtype)]
     for _ in range(n):
         walks.append(np.maximum.reduce(walks[-1][:, None] + a))
+    table = np.array(walks)
+    if _NINF in walks[n].tolist():
+        # the states an n-step walk reaches; each suffix of that walk also
+        # reaches them, so their D_k are all finite
+        table = table[:, walks[n] != _NINF]
+        if not table.size:
+            raise NoCycle("no cycle with finite arcs")
+    gaps = np.arange(n, 0, -1)[:, None]  # n - k
     if scaled.kind is float:
-        return _float_cycle_mean(np.array(walks))
-
-    # min over k of (D_n - D_k) / (n - k), max over v, by cross-multiplying
-    # Python ints; D_0 = 0 makes the min exist wherever D_n is finite
-    table = np.array(walks).tolist()
-    last = table[n]
-    best = None
-    for v in range(n):
-        if last[v] == _NINF:
-            continue
-        num, den = None, 1
-        for k in range(n):
-            if table[k][v] == _NINF:
-                continue
-            cand = int(last[v] - table[k][v])
-            if num is None or cand * den < num * (n - k):
-                num, den = cand, n - k
-        if best is None or num * best[1] > best[0] * den:
-            best = (num, den)
-    if best is None:
-        raise NoCycle("no cycle with finite arcs")
-    lam = Fraction(best[0], best[1] * scaled.q)
+        return float(((table[n] - table[:n]) / gaps).min(axis=0).max())
+    # a ratio times lcm is an integer below 2n top lcm; top counts as 1 on a
+    # kernel of zeros, so that lcm // gaps fits the dtype
+    lcm = math.lcm(*range(1, n + 1))
+    if 2 * n * max(int(scaled.top), 1) * lcm >= EXACT_LIMIT:
+        table, gaps = _python_ints(table), gaps.astype(object)
+    best = ((table[n] - table[:n]) * (lcm // gaps)).min(axis=0).max()
+    lam = Fraction(int(best), lcm * scaled.q)
     return lam.numerator if lam.denominator == 1 else lam
-
-
-def _float_cycle_mean(table: np.ndarray) -> float:
-    """Karp's min-max over a float walk table, one float division per ratio."""
-    n = table.shape[1]
-    last, head = table[n], table[:n]
-    with np.errstate(invalid="ignore"):  # -inf - -inf, masked just below
-        ratio = (last - head) / np.arange(n, 0, -1)[:, None]
-    ratio[head == _NINF] = np.inf
-    worst = ratio.min(axis=0)[last != _NINF]
-    if not worst.size:
-        raise NoCycle("no cycle with finite arcs")
-    return float(worst.max())
 
 
 def normalize(kernel: KernelMatrix, lam: Value) -> KernelMatrix:
@@ -503,7 +499,7 @@ class StarMatrix:
         x ~ y, closed explicitly since a float tolerance could break its
         transitivity."""
         s = self.scaled.array
-        same = np.abs(s + s.T) <= _slack(self.source)
+        same = _close(s + s.T, 0, _slack(self.source, self.scaled.kind))
         label = same.argmax(axis=1)  # the least relative (the diagonal is 0)
         while True:  # until every state holds the least label of its relatives
             least = np.where(same, label, self.n).min(axis=1)
@@ -541,7 +537,7 @@ def kleene_star(kernel: KernelMatrix) -> StarMatrix:
             np.maximum(m[k + 1 :], m[k + 1 :, k, None] + m[k], out=m[k + 1 :])
         else:
             np.maximum(m, m[:, k, None] + m[k], out=m)
-    over = np.flatnonzero(m.diagonal() > _slack(kernel))
+    over = np.flatnonzero(m.diagonal() > _slack(kernel, scaled.kind))
     if over.size:
         raise PositiveCycle(
             f"cycle through state {kernel.states[over[0]]!r} has positive weight"
@@ -568,12 +564,8 @@ def _fixed(kernel: KernelMatrix, h: Sequence[Value], sub: bool = False, terms: i
     a, g, grid = _on_grid(kernel.scaled, h, terms)
     sums = a + g
     image = sums.max(axis=1)
-    if grid.kind is not float:
-        ok = image <= g if sub else image == g
-    elif sub:
-        ok = image <= g + kernel.tol
-    else:
-        ok = (image <= g + kernel.tol) & (g <= image + kernel.tol)
+    slack = _slack(kernel, grid.kind)
+    ok = image <= g + slack if sub else _close(image, g, slack)
     return all(ok.tolist()), sums, g, grid
 
 

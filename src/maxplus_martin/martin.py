@@ -21,6 +21,7 @@ import numpy as np
 from .errors import AssumptionViolated, NotHarmonic, NotNormalized
 from .kernel import (
     StarMatrix,
+    _close,
     _fixed,
     _function,
     _on_grid,
@@ -55,11 +56,16 @@ class MartinObject:
     class_id: int
     members: tuple[int, ...]
     harmonic: bool
-    minimal: bool
 
     @property
     def representative(self) -> int:
         return self.members[0]
+
+    @property
+    def minimal(self) -> bool:
+        """Same as harmonic (see martin_kernel); a read-only alias that the
+        benchmark's workloads still read."""
+        return self.harmonic
 
 
 def martin_kernel(star: StarMatrix) -> list[MartinObject]:
@@ -84,15 +90,15 @@ def _martin_objects(star: StarMatrix, classes) -> list[MartinObject]:
     b = star.basepoint
     reps = [members[0] for _, members in classes]
     columns = s[:, reps] - s[b, reps]
-    slack = _slack(star.source)
+    slack = _slack(star.source, scaled.kind)
     image = _product(star.source.scaled.exact(2 * star.n), columns)
-    harmonic = (np.abs(image - columns) <= slack).all(axis=0).tolist()
+    harmonic = _close(image, columns, slack).all(axis=0).tolist()
     # H(xi, xi) = max over the members x of A*<b,x> + K<x,y>
     own = np.zeros(columns.shape, dtype=bool)
     for i, (_, members) in enumerate(classes):
         own[members, i] = True
     self_pairs = np.where(own, s[b][:, None] + columns, -np.inf).max(axis=0)
-    broken = np.flatnonzero(np.abs(self_pairs) > slack)
+    broken = np.flatnonzero(~_close(self_pairs, 0, slack))
     if broken.size:
         i = int(broken[0])
         raise AssumptionViolated(
@@ -112,7 +118,6 @@ def _martin_objects(star: StarMatrix, classes) -> list[MartinObject]:
                 class_id=cid,
                 members=tuple(members),
                 harmonic=harmonic[i],
-                minimal=harmonic[i],
             )
         )
     return objects
@@ -176,7 +181,7 @@ def H(eta: MartinObject, xi: MartinObject, star: StarMatrix) -> Value:
 
 
 def minimal_martin_space(star: StarMatrix) -> list[MartinObject]:
-    return [obj for obj in martin_kernel(star) if obj.minimal]
+    return [obj for obj in martin_kernel(star) if obj.harmonic]
 
 
 def spectral_measure(
@@ -215,16 +220,14 @@ def extremal_witness(
     _require_finite(star)
     # h = mu_h(w) + w sums four numbers: three star entries and a value of h
     s, g, grid = _on_star(h, star, 4, "extremality is defined for harmonic functions")
-    tol = star.source.tol if grid.kind is float else 0
+    slack = _slack(star.source, grid.kind)
     b = star.basepoint
-    if not (g[b] <= tol and -tol <= g[b]):
+    if not _close(g[b], 0, slack):
         raise NotNormalized("extremality expects h(basepoint) = 0")
     measure = _measure(s, g, [w.members for w in minimal], b)
     columns = s[:, [w.representative for w in minimal]]
     target = measure + (columns - columns[b])
-    g = g[:, None]
-    close = (g <= target + tol) & (target <= g + tol) if tol else g == target
-    hit = np.flatnonzero(close.all(axis=0))
+    hit = np.flatnonzero(_close(g[:, None], target, slack).all(axis=0))
     return minimal[hit[0]] if hit.size else None
 
 

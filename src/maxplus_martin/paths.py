@@ -254,7 +254,7 @@ def geodesic_limit(path: DiscretePath, star: StarMatrix, eps: Value) -> MartinOb
             "Martin class still changing at the final sample"
         )
     limit = _martin_objects(star, [(ids[-1], classes[ids[-1]])])[0]
-    if not limit.minimal:
+    if not limit.harmonic:
         raise AssumptionViolated(
             "path settled on a class whose column is not harmonic"
         )

@@ -93,15 +93,6 @@ def otimes(a: Value, b: Value) -> Value:
     return a + b
 
 
-def values_close(a: Value, b: Value, tol: float = TOL) -> bool:
-    """Equality test: exact on int/Fraction, absolute tolerance on floats."""
-    if isinstance(a, _Infinite) or isinstance(b, _Infinite):
-        return a is b
-    if isinstance(a, float) or isinstance(b, float):
-        return abs(a - b) <= tol
-    return a == b
-
-
 def le_close(a: Value, b: Value, tol: float = TOL) -> bool:
     """a <= b, allowing float slack of tol."""
     if isinstance(a, _Infinite) or isinstance(b, _Infinite):

@@ -160,6 +160,45 @@ def enumerate_cycle_means(entries):
     return means
 
 
+def karp_cycle_mean(entries):
+    """Largest cycle mean by Karp's min-max over exact Fractions, or None
+    when no cycle exists.
+
+    D[k][v] is the best weight of a k-step walk ending at v from any start
+    (None when there is none), and the mean is
+    max over v with D[n][v] of min over k with D[k][v] of
+    (D[n][v] - D[k][v]) / (n - k).  Entries may be ints, Fractions or
+    floats (taken at their exact values), with float -inf for no arc.
+    """
+    n = len(entries)
+    D = [[Fraction(0)] * n]
+    for _ in range(n):
+        row = []
+        for v in range(n):
+            best = None
+            for u in range(n):
+                if D[-1][u] is None or entries[u][v] == NEG:
+                    continue
+                weight = D[-1][u] + Fraction(entries[u][v])
+                if best is None or weight > best:
+                    best = weight
+            row.append(best)
+        D.append(row)
+    best = None
+    for v in range(n):
+        if D[n][v] is None:
+            continue
+        worst = None
+        for k in range(n):
+            if D[k][v] is not None:
+                mean = (D[n][v] - D[k][v]) / (n - k)
+                if worst is None or mean < worst:
+                    worst = mean
+        if best is None or worst > best:
+            best = worst
+    return best
+
+
 def kernel_textbook(x, y, t, lam=0.0):
     """Finite-horizon kernel in its raw form; fine away from t ~ 0.
 

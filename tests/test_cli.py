@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -9,9 +12,11 @@ from conftest import run_capped
 
 from maxplus_martin.cli import main
 
-DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DATA = os.path.join(ROOT, "data")
 TWO_STATE = os.path.join(DATA, "two_state.json")
 RING = os.path.join(DATA, "ring.csv")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
 
 
 def run(capsys, *argv):
@@ -298,3 +303,47 @@ def test_lq_verify_refuses_too_few_probes(capsys, count):
                          "--probes", count)
     assert code == 1 and out == ""
     assert err == "error: --probes must be at least 1\n"
+
+
+def golden_cases():
+    """Finite-side runs whose exit code, stdout and stderr are pinned in
+    golden/cli.json; paths are relative to the repository root."""
+    kernels = ["data/two_state.json", "data/ring.csv",
+               "tests/golden/float.json", "tests/golden/mixed.csv"]
+    for kernel in kernels:
+        yield ["eigenvalue", kernel]
+        for command in ("star", "classes", "martin"):
+            for lam in ([], ["--lam", "auto"], ["--lam", "1/2"]):
+                yield [command, kernel, *lam]
+    two, h = "data/two_state.json", "tests/golden/h.json"
+    yield ["harmonic-check", two, h]
+    yield ["represent", two, "tests/golden/measure.json"]
+    yield ["extremal", two, h]
+    yield ["downhill", two, h, "--start", "b"]
+
+
+def run_golden(argv) -> dict:
+    argv = [os.path.join(ROOT, a) if a.endswith((".json", ".csv")) else a
+            for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_outputs_match_the_golden_bytes():
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    cases = {" ".join(argv): argv for argv in golden_cases()}
+    assert list(cases) == list(golden)
+    for name, argv in cases.items():
+        assert run_golden(argv) == golden[name], name
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_cli.py --regenerate")
+    golden = {" ".join(argv): run_golden(argv) for argv in golden_cases()}
+    with open(GOLDEN, "w") as fh:
+        json.dump(golden, fh, indent=1)
+        fh.write("\n")

@@ -17,6 +17,7 @@ from maxplus_martin import (
     downhill_path,
     extremal_witness,
     geodesic_limit,
+    is_harmonic,
     kleene_star,
     martin_kernel,
     max_cycle_mean,
@@ -280,6 +281,19 @@ def test_ints_past_the_float_range_load_exactly(tmp_path):
     assert kernel.tol == KernelMatrix(kernel.states, kernel.entries).tol
 
 
+def test_ints_past_the_float_range_never_meet_a_float():
+    message = "int entry too large for a float kernel"
+    big = -(10**400)
+    mixed = KernelMatrix(("a", "b"), [[0.5, big], [-1, 0]])
+    with pytest.raises(DimensionMismatch, match=message):
+        mixed.scaled
+    kernel = KernelMatrix(("a", "b"), [[0, big], [NEG_INF, -1]])
+    with pytest.raises(DimensionMismatch, match=message):
+        normalize(kernel, 0.5)
+    with pytest.raises(DimensionMismatch, match=message):
+        is_harmonic(kernel, [0.0, -1.0])
+
+
 MALFORMED = [
     ("null.json", '{"states":["a","b"],"matrix":[[0,null],[0,0]]}',
      DimensionMismatch, "not a kernel value: None"),
@@ -333,6 +347,12 @@ MALFORMED = [
      DimensionMismatch, "row labels must match the header order"),
     ("x_labels.csv", ",a,b\nb,0,x\na,0,0\n", ValueError, "not a max-plus value: 'x'"),
     ("header.csv", ",a,b\n", DimensionMismatch, "kernel CSV needs a header and data rows"),
+    # a float puts every entry in a float array, where no int past the
+    # float range fits
+    ("huge_float.json", '{"states":["a","b"],"matrix":[[0.5,-1' + "0" * 400 + '],[-1,0]]}',
+     DimensionMismatch, "int entry too large for a float kernel"),
+    ("huge_float.csv", ",a,b\na,0.5,-1" + "0" * 400 + "\nb,-1,0\n",
+     DimensionMismatch, "int entry too large for a float kernel"),
 ]
 
 

@@ -22,6 +22,7 @@ from oracles import (
     as_raw,
     brute_star,
     enumerate_cycle_means,
+    karp_cycle_mean,
     mp_apply,
     mp_matmul,
 )
@@ -105,6 +106,40 @@ def test_max_cycle_mean_matches_cycle_enumeration(kernel):
     assert Fraction(got) == max(means)
 
 
+@st.composite
+def wide_int_kernels(draw):
+    """Int kernels, n <= 40, entries up to 2^40 in magnitude and -inf: most
+    ratios times lcm(1..n) pass 2^53, so Karp runs on Python ints."""
+    n = draw(st.integers(2, 40))
+    top = 2 ** draw(st.integers(0, 40))
+    arcs = st.one_of(st.integers(-top, top), st.just(NEG_INF))
+    rows = [[draw(arcs) for _ in range(n)] for _ in range(n)]
+    return KernelMatrix(states=labels(n), entries=rows)
+
+
+near_2_60 = st.integers(2, 5).flatmap(lambda n: st.lists(st.lists(
+    st.one_of(st.integers(2**60 - 99, 2**60), st.integers(-(2**60), 99 - 2**60),
+              st.just(NEG_INF)),
+    min_size=n, max_size=n), min_size=n, max_size=n)).map(
+    lambda rows: KernelMatrix(labels(len(rows)), rows))
+
+
+@given(st.one_of(fraction_kernels(), wide_int_kernels(), near_2_60, float_kernels()))
+def test_max_cycle_mean_matches_naive_karp(kernel):
+    want = karp_cycle_mean(raw_entries(kernel))
+    if want is None:
+        with pytest.raises(NoCycle):
+            max_cycle_mean(kernel)
+        return
+    got = max_cycle_mean(kernel)
+    if kernel.scaled.kind is float:
+        assert type(got) is float
+        assert abs(Fraction(got) - want) <= kernel.tol
+    else:
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
 def test_max_cycle_mean_worked_values():
     k = KernelMatrix(states=("a", "b"), entries=[[-1, -2], [-2, -1]])
     assert max_cycle_mean(k) == -1
@@ -113,6 +148,9 @@ def test_max_cycle_mean_worked_values():
     k = KernelMatrix(states=("a", "b"), entries=[[NEG_INF, 0], [NEG_INF, NEG_INF]])
     with pytest.raises(NoCycle):
         max_cycle_mean(k)
+    # lcm(1..50) passes 2^63: a kernel of zeros takes the Python-int path
+    zeros = KernelMatrix(states=labels(50), entries=[[0] * 50] * 50)
+    assert type(max_cycle_mean(zeros)) is int and max_cycle_mean(zeros) == 0
 
 
 def test_normalize_shifts_entries():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maxplus_martin import NEG_INF, POS_INF, is_finite, oplus, otimes, values_close
+from maxplus_martin import NEG_INF, POS_INF, is_finite, oplus, otimes
 from maxplus_martin.semiring import (
     coerce_value,
     format_value,
@@ -68,16 +68,6 @@ def test_order_against_reals():
     assert POS_INF >= POS_INF
     assert -NEG_INF is POS_INF
     assert -POS_INF is NEG_INF
-
-
-def test_values_close_semantics():
-    assert values_close(NEG_INF, NEG_INF)
-    assert not values_close(NEG_INF, POS_INF)
-    assert not values_close(NEG_INF, -1e300)
-    assert values_close(1, Fraction(1))
-    assert not values_close(1, Fraction(1000000001, 1000000000))
-    assert values_close(1.0, 1 + 1e-10)
-    assert not values_close(1.0, 1 + 1e-8)
 
 
 def test_le_close_semantics():
