@@ -16,6 +16,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DimensionMismatch
 from .kernel import KernelMatrix
@@ -54,19 +55,72 @@ def _json_default(obj):
 
 
 def canonical_json(payload) -> str:
-    """Deterministic JSON: preserved key order, 12-digit floats, newline."""
+    """Deterministic JSON: preserved key order, 12-digit floats, newline.
 
-    def walk(node):
-        if isinstance(node, dict):
-            return {str(k): walk(v) for k, v in node.items()}
-        if isinstance(node, (list, tuple)):
-            return [walk(v) for v in node]
-        if isinstance(node, float):
-            text = format_value(node)
-            return json.loads(text) if math.isfinite(node) else text
-        return node
+    The text of json.dumps(indent=2), written in one pass: dicts (keys as
+    str), lists and tuples nest; a float, numpy's float64 included, prints
+    as its 12-digit value and a non-finite one as a string; every other
+    value follows json's encoder, through _json_default.
+    """
+    out: list = []
+    _emit(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
-    return json.dumps(walk(payload), default=_json_default, indent=2) + "\n"
+
+def _emit(node, out: list, pad: str) -> None:
+    """Append node's canonical JSON text to out, pad the newline and
+    indent of its enclosing level."""
+    if isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        # keys as str; two keys with one str keep the first place, last value
+        for key, value in {str(k): v for k, v in node.items()}.items():
+            out.append(sep + _quote(key) + ": ")
+            _emit(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for value in node:
+            out.append(sep)
+            _emit(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(node, float):
+        text = format_value(node)
+        if not math.isfinite(node):
+            out.append(_quote(text))
+        elif "." in text or "e" in text:  # what json reads back as a float
+            out.append(float.__repr__(float(text)))
+        else:
+            out.append(text)
+    else:
+        out.append(_atom(node))
+
+
+def _atom(value) -> str:
+    """json's encoding of a scalar: bool before int, floats by repr."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    return _atom(_json_default(value))
 
 
 def kernel_to_dict(kernel: KernelMatrix) -> dict:
@@ -121,8 +175,11 @@ def kernel_from_dict(data: dict) -> KernelMatrix:
 
 
 def load_kernel_json(path: str) -> KernelMatrix:
-    with open(path) as fh:
-        return kernel_from_dict(json.load(fh))
+    with open(path, "rb") as fh:
+        text = fh.read().decode()
+    if "\r" in text:  # the newlines a text-mode read translates
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return kernel_from_dict(json.loads(text))
 
 
 def save_kernel_json(kernel: KernelMatrix, path: str) -> None:
@@ -133,7 +190,7 @@ def save_kernel_json(kernel: KernelMatrix, path: str) -> None:
 def load_kernel_csv(path: str) -> KernelMatrix:
     """CSV kernel: header row of states, label column, basepoint = first."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+        rows = [r for r in csv.reader(fh) if any(map(str.strip, r))]
     if len(rows) < 2:
         raise DimensionMismatch("kernel CSV needs a header and data rows")
     states = [c.strip() for c in rows[0][1:]]

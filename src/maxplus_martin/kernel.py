@@ -46,6 +46,8 @@ EXACT_LIMIT = 2**53
 # elements in the largest temporary of one max-plus product
 _CHUNK = 1 << 18
 _NINF = -math.inf
+# the types of a function with neither a Fraction nor a float
+_EXACT_INTS = {int, type(NEG_INF)}
 
 
 def _freeze(rows) -> Grid:
@@ -63,6 +65,21 @@ def _python_ints(array: np.ndarray) -> np.ndarray:
     finite = array != _NINF
     out = np.where(finite, array, 0).astype(np.int64).astype(object)
     out[~finite] = _NINF
+    return out
+
+
+def _adder(array: np.ndarray):
+    """The elementwise sum of scaled arrays of array's dtype: numpy's add on
+    floats; on Python ints one that masks -inf to 0 and restores it, since
+    adding a float -inf to an int past the float range raises OverflowError."""
+    return _int_plus if array.dtype == object else np.add
+
+
+def _int_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b on arrays of Python ints and -inf, -inf absorbing (see _adder)."""
+    a_absent, b_absent = a == _NINF, b == _NINF
+    out = np.where(a_absent, 0, a) + np.where(b_absent, 0, b)
+    out[a_absent | b_absent] = _NINF
     return out
 
 
@@ -120,7 +137,13 @@ class Scaled:
         if self.kind is float:
             return [[NEG_INF if v == _NINF else v for v in row] for row in rows]
         # grids repeat few values, and a Fraction costs a gcd to build
-        table = {v: self.value(v) for v in set().union(*rows)}
+        distinct = set().union(*rows)
+        distinct.discard(_NINF)
+        if self.kind is int:
+            table = {v: int(v) for v in distinct}
+        else:
+            table = {v: Fraction(int(v), self.q) for v in distinct}
+        table[_NINF] = NEG_INF
         return [list(map(table.__getitem__, row)) for row in rows]
 
 
@@ -182,8 +205,9 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = _python_ints(a), _python_ints(b)
     out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
     step = max(1, _CHUNK // max(1, b.size))
+    add = _adder(a)
     for r in range(0, len(a), step):
-        np.maximum.reduce(a[r : r + step, :, None] + b, axis=1, out=out[r : r + step])
+        np.maximum.reduce(add(a[r : r + step, :, None], b), axis=1, out=out[r : r + step])
     return out
 
 
@@ -237,12 +261,12 @@ class KernelMatrix:
         """A kernel read from a file: rows of the ints and floats read, -inf
         for an absent arc, and `floats` every other float read (+inf and NaN
         included), in the constructor's order of checks."""
-        if any(v != v for v in floats):
+        if any(map(math.isnan, floats)):
             raise DimensionMismatch("NaN is not a max-plus value")
         states = tuple(states)
-        finite = [v for v in floats if v != math.inf]
-        _check(states, rows, basepoint, len(finite) < len(floats))
-        if finite:
+        infinite = floats.count(math.inf)
+        _check(states, rows, basepoint, infinite > 0)
+        if len(floats) > infinite:
             scaled = Scaled(_float_array(rows), 1, float)
         else:
             try:
@@ -316,7 +340,7 @@ def _close(a, b, slack):
     way; -inf matches only -inf."""
     if not slack:
         return a == b
-    return (a <= b + slack) & (b <= a + slack)
+    return np.maximum(a, b) <= np.minimum(a, b) + slack
 
 
 def matrix_power(kernel: KernelMatrix, t: int) -> KernelMatrix:
@@ -359,15 +383,26 @@ def _on_grid(grid: Scaled, g: Sequence[Value], terms: int = 2):
     else on the lcm of their denominators, in Python ints when a sum of
     `terms` numbers could reach 2^53.  Returns the grid's array, g's row and
     the grid's Scaled on that scale, which reads values back."""
-    if grid.kind is float or float in set(map(type, g)):
+    kinds = set(map(type, g))
+    if grid.kind is float or float in kinds:
         grid = grid.to(1, float)
         g = np.array([_NINF if v is NEG_INF else v for v in g], dtype=float)
         return grid.array, g, grid
-    fractions = [v.denominator for v in g if isinstance(v, Fraction)]
-    q = math.lcm(grid.q, *fractions)
-    grid = grid.to(q, Fraction if fractions else grid.kind)
-    ints = [_NINF if v is NEG_INF else v.numerator * (q // v.denominator) for v in g]
-    top = max(map(abs, filter(_NINF.__ne__, ints)), default=0)
+    q, kind = grid.q, grid.kind
+    if not kinds <= _EXACT_INTS:
+        fractions = [v.denominator for v in g if isinstance(v, Fraction)]
+        if fractions:
+            q, kind = math.lcm(q, *fractions), Fraction
+    grid = grid.to(q, kind)
+    ints, top = [], 0
+    for v in g:  # g times q, and its largest finite magnitude
+        if v is NEG_INF:
+            ints.append(_NINF)
+            continue
+        v = v.numerator * (q // v.denominator)
+        ints.append(v)
+        if top < abs(v):
+            top = abs(v)
     a = grid.exact(terms)
     if a.dtype == object or terms * top >= EXACT_LIMIT:
         return _python_ints(a), np.array(ints, dtype=object), grid
@@ -379,7 +414,7 @@ def apply(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
     g = _function(kernel, g)
     up = [y for y, v in enumerate(g) if v is POS_INF]
     a, row, grid = _on_grid(kernel.scaled, [NEG_INF if v is POS_INF else v for v in g])
-    image = grid.values((a + row).max(axis=1)[None])[0]
+    image = grid.values(np.maximum.reduce(_adder(a)(a, row), axis=1)[None])[0]
     if up:  # +inf wins wherever an arc reaches it; -inf absorbs it
         hit = (kernel.scaled.array[:, up] != _NINF).any(axis=1).tolist()
         image = [POS_INF if reach else v for reach, v in zip(hit, image)]
@@ -401,27 +436,29 @@ def max_cycle_mean(kernel: KernelMatrix) -> Value:
     n = kernel.n
     scaled = kernel.scaled
     a = scaled.exact(2 * n)
-    walks = [np.zeros(n, dtype=a.dtype)]
-    for _ in range(n):
-        walks.append(np.maximum.reduce(walks[-1][:, None] + a))
-    table = np.array(walks)
-    if _NINF in walks[n].tolist():
+    table = np.zeros((n + 1, n), dtype=a.dtype)  # row k holds D_k
+    add = _adder(a)
+    for k in range(n):
+        np.maximum.reduce(add(table[k, :, None], a), out=table[k + 1])
+    last = table[n]
+    if _NINF in last.tolist():
         # the states an n-step walk reaches; each suffix of that walk also
         # reaches them, so their D_k are all finite
-        table = table[:, walks[n] != _NINF]
+        table = table[:, last != _NINF]
         if not table.size:
             raise NoCycle("no cycle with finite arcs")
+    rise = table[n] - table[:n]
     gaps = np.arange(n, 0, -1)[:, None]  # n - k
     if scaled.kind is float:
-        return float(((table[n] - table[:n]) / gaps).min(axis=0).max())
+        return float(np.maximum.reduce(np.minimum.reduce(rise / gaps)))
     # a ratio times lcm is an integer below 2n top lcm; top counts as 1 on a
     # kernel of zeros, so that lcm // gaps fits the dtype
     lcm = math.lcm(*range(1, n + 1))
     if 2 * n * max(int(scaled.top), 1) * lcm >= EXACT_LIMIT:
-        table, gaps = _python_ints(table), gaps.astype(object)
-    best = ((table[n] - table[:n]) * (lcm // gaps)).min(axis=0).max()
-    lam = Fraction(int(best), lcm * scaled.q)
-    return lam.numerator if lam.denominator == 1 else lam
+        rise, gaps = _python_ints(rise), gaps.astype(object)
+    best = int(np.maximum.reduce(np.minimum.reduce(rise * (lcm // gaps))))
+    whole = lcm * scaled.q
+    return best // whole if best % whole == 0 else Fraction(best, whole)
 
 
 def normalize(kernel: KernelMatrix, lam: Value) -> KernelMatrix:
@@ -494,20 +531,25 @@ class StarMatrix:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @cached_property
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        """Recurrence classes (martin.recurrence_classes): the components of
-        x ~ y, closed explicitly since a float tolerance could break its
+    def labels(self) -> np.ndarray:
+        """Each state's recurrence class as its least member: the components
+        of x ~ y, closed explicitly since a float tolerance could break its
         transitivity."""
         s = self.scaled.array
-        same = _close(s + s.T, 0, _slack(self.source, self.scaled.kind))
+        same = _close(_adder(s)(s, s.T), 0, _slack(self.source, self.scaled.kind))
         label = same.argmax(axis=1)  # the least relative (the diagonal is 0)
         while True:  # until every state holds the least label of its relatives
-            least = np.where(same, label, self.n).min(axis=1)
+            least = np.minimum.reduce(np.where(same, label, self.n), axis=1)
             if least.tolist() == label.tolist():
-                break
+                return label
             label = least
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Recurrence classes (martin.recurrence_classes), each sorted and
+        listed by its least member."""
         groups: dict[int, list[int]] = {}
-        for i, root in enumerate(label.tolist()):
+        for i, root in enumerate(self.labels.tolist()):
             groups.setdefault(root, []).append(i)
         return tuple(map(tuple, groups.values()))
 
@@ -525,6 +567,7 @@ def kleene_star(kernel: KernelMatrix) -> StarMatrix:
     n = kernel.n
     scaled = kernel.scaled
     m = scaled.exact(2 * n).copy()
+    add = _adder(m)
     for k in range(n):
         d = m[k, k]
         if d > 0:
@@ -532,15 +575,15 @@ def kleene_star(kernel: KernelMatrix) -> StarMatrix:
             # below read the lifted row: the order of the in-place sweep, which
             # fixes the state a positive cycle is reported through and the
             # last bits of a float star
-            np.maximum(m[:k], m[:k, k, None] + m[k], out=m[:k])
+            np.maximum(m[:k], add(m[:k, k, None], m[k]), out=m[:k])
             m[k] += d
-            np.maximum(m[k + 1 :], m[k + 1 :, k, None] + m[k], out=m[k + 1 :])
+            np.maximum(m[k + 1 :], add(m[k + 1 :, k, None], m[k]), out=m[k + 1 :])
         else:
-            np.maximum(m, m[:, k, None] + m[k], out=m)
-    over = np.flatnonzero(m.diagonal() > _slack(kernel, scaled.kind))
-    if over.size:
+            np.maximum(m, add(m[:, k, None], m[k]), out=m)
+    over = (m.diagonal() > _slack(kernel, scaled.kind)).tolist()
+    if True in over:
         raise PositiveCycle(
-            f"cycle through state {kernel.states[over[0]]!r} has positive weight"
+            f"cycle through state {kernel.states[over.index(True)]!r} has positive weight"
         )
     m.flat[:: n + 1] = 0
     star = StarMatrix._computed(kernel, Scaled(m, scaled.q, scaled.kind))
@@ -562,8 +605,8 @@ def _fixed(kernel: KernelMatrix, h: Sequence[Value], sub: bool = False, terms: i
     if any(v is POS_INF for v in h):
         raise DimensionMismatch("harmonic candidates may not take +inf")
     a, g, grid = _on_grid(kernel.scaled, h, terms)
-    sums = a + g
-    image = sums.max(axis=1)
+    sums = _adder(a)(a, g)
+    image = np.maximum.reduce(sums, axis=1)
     slack = _slack(kernel, grid.kind)
     ok = image <= g + slack if sub else _close(image, g, slack)
     return all(ok.tolist()), sums, g, grid

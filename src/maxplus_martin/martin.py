@@ -21,6 +21,7 @@ import numpy as np
 from .errors import AssumptionViolated, NotHarmonic, NotNormalized
 from .kernel import (
     StarMatrix,
+    _adder,
     _close,
     _fixed,
     _function,
@@ -57,6 +58,11 @@ class MartinObject:
     members: tuple[int, ...]
     harmonic: bool
 
+    def __hash__(self):
+        # equal objects have equal members, and hashing the column would
+        # hash every value in it
+        return hash(self.members)
+
     @property
     def representative(self) -> int:
         return self.members[0]
@@ -76,7 +82,7 @@ def martin_kernel(star: StarMatrix) -> list[MartinObject]:
     columns but asserted anyway.
     """
     _require_finite(star)
-    return _martin_objects(star, list(enumerate(recurrence_classes(star))))
+    return _martin_objects(star, list(enumerate(star.classes)))
 
 
 def _martin_objects(star: StarMatrix, classes) -> list[MartinObject]:
@@ -89,37 +95,28 @@ def _martin_objects(star: StarMatrix, classes) -> list[MartinObject]:
     s = scaled.array
     b = star.basepoint
     reps = [members[0] for _, members in classes]
-    columns = s[:, reps] - s[b, reps]
+    columns = s[:, reps]
+    columns = columns - columns[b]
     slack = _slack(star.source, scaled.kind)
     image = _product(star.source.scaled.exact(2 * star.n), columns)
-    harmonic = _close(image, columns, slack).all(axis=0).tolist()
-    # H(xi, xi) = max over the members x of A*<b,x> + K<x,y>
-    own = np.zeros(columns.shape, dtype=bool)
-    for i, (_, members) in enumerate(classes):
-        own[members, i] = True
-    self_pairs = np.where(own, s[b][:, None] + columns, -np.inf).max(axis=0)
-    broken = np.flatnonzero(~_close(self_pairs, 0, slack))
-    if broken.size:
-        i = int(broken[0])
+    harmonic = np.logical_and.reduce(_close(image, columns, slack)).tolist()
+    # H(xi, xi) = max over the members x of A*<b,x> + K<x,y>; a class is
+    # labelled by its least member, its representative
+    own = star.labels[:, None] == reps
+    self_pairs = np.maximum.reduce(np.where(own, s[b][:, None] + columns, -np.inf))
+    paired = _close(self_pairs, 0, slack).tolist()
+    if False in paired:
+        i = paired.index(False)
         raise AssumptionViolated(
             f"self pairing of class {classes[i][0]} is "
             f"{scaled.value(self_pairs[i])!r}, expected 0"
         )
-    values = list(zip(*scaled.values(columns)))
     objects = []
-    for i, (cid, members) in enumerate(classes):
-        column = values[i]
-        if reps[i] == b:
+    for (cid, members), column, flag in zip(classes, scaled.values(columns.T), harmonic):
+        if members[0] == b:
             # K<b,b> = A*<b,b> - A*<b,b> is the int 0 of the star's diagonal
-            column = column[:b] + (0,) + column[b + 1 :]
-        objects.append(
-            MartinObject(
-                column=column,
-                class_id=cid,
-                members=tuple(members),
-                harmonic=harmonic[i],
-            )
-        )
+            column[b] = 0
+        objects.append(MartinObject(tuple(column), cid, tuple(members), flag))
     return objects
 
 
@@ -157,7 +154,7 @@ def _measure(s: np.ndarray, g: np.ndarray, groups, b: int) -> np.ndarray:
         return g[:0]
     members = [x for group in groups for x in group]
     starts = list(accumulate((len(group) for group in groups[:-1]), initial=0))
-    return np.maximum.reduceat((s[b] + g)[members], starts)
+    return np.maximum.reduceat(_adder(s)(s[b], g)[members], starts)
 
 
 def mu(xi: Sequence[Value], eta: MartinObject, star: StarMatrix) -> Value:
@@ -226,7 +223,7 @@ def extremal_witness(
         raise NotNormalized("extremality expects h(basepoint) = 0")
     measure = _measure(s, g, [w.members for w in minimal], b)
     columns = s[:, [w.representative for w in minimal]]
-    target = measure + (columns - columns[b])
+    target = _adder(columns)(measure, columns - columns[b])
     hit = np.flatnonzero(_close(g[:, None], target, slack).all(axis=0))
     return minimal[hit[0]] if hit.size else None
 

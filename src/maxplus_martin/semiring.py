@@ -143,14 +143,15 @@ def parse_value(token) -> Value:
     if not isinstance(token, str):
         return coerce_value(token)
     text = token.strip().lower()
-    if text == "-inf":
+    if "." not in text and "e" not in text and "n" not in text:
+        try:  # no int literal, and no infinity, holds a ".", "e" or "n"
+            return int(text)
+        except ValueError:
+            pass
+    elif text == "-inf":
         return NEG_INF
-    if text in ("+inf", "inf"):
+    elif text in ("+inf", "inf"):
         return POS_INF
-    try:
-        return int(text)
-    except ValueError:
-        pass
     try:
         return float(text)
     except ValueError:

@@ -7,6 +7,7 @@ so disagreements point at the library and not at the oracle.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -24,9 +25,17 @@ def as_raw(value):
 
 
 def mp_matmul(a, b):
+    """Max-plus product, term by term; a -inf factor drops its term, so a
+    float -inf never meets an int past the float range."""
     n = len(a)
     return [
-        [max(a[i][k] + b[k][j] for k in range(n)) for j in range(n)]
+        [
+            max(
+                (a[i][k] + b[k][j] for k in range(n) if a[i][k] != NEG and b[k][j] != NEG),
+                default=NEG,
+            )
+            for j in range(n)
+        ]
         for i in range(n)
     ]
 
@@ -320,3 +329,60 @@ def stationary_horizon(xs, ys, lam, lo=1e-9, hi=60.0, iters=120):
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def twelve_digits(v: float) -> str:
+    """A float with 12 significant digits; integral values below 1e15 as
+    integers, non-finite ones as nan, inf and -inf."""
+    if v != v:
+        return "nan"
+    if math.isinf(v):
+        return "-inf" if v < 0 else "inf"
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return f"{v:.12g}"
+
+
+def canonical_json_text(payload) -> str:
+    """Canonical report text in two passes: rewrite the payload (keys as
+    str, tuples as lists, floats as their 12-digit JSON value or, when not
+    finite, a string), then json.dumps(indent=2).  Fractions go to an int or
+    a float, the tagged infinities to their repr."""
+
+    def walk(node):
+        if isinstance(node, dict):
+            return {str(k): walk(v) for k, v in node.items()}
+        if isinstance(node, (list, tuple)):
+            return [walk(v) for v in node]
+        if isinstance(node, float):
+            text = twelve_digits(node)
+            return json.loads(text) if math.isfinite(node) else text
+        return node
+
+    def default(obj):
+        if isinstance(obj, Fraction):
+            return int(obj) if obj.denominator == 1 else float(obj)
+        if repr(obj) in ("-inf", "+inf"):
+            return repr(obj)
+        raise TypeError(f"not JSON encodable: {obj!r}")
+
+    return json.dumps(walk(payload), default=default, indent=2) + "\n"
+
+
+def parse_token(token: str):
+    """A scalar from file text: the infinity spellings ("-inf", "+inf",
+    "inf", any case; returned as the strings "-inf" and "+inf"), else int(),
+    else float(), else ValueError."""
+    text = token.strip().lower()
+    if text == "-inf":
+        return "-inf"
+    if text in ("+inf", "inf"):
+        return "+inf"
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"not a max-plus value: {token!r}") from None

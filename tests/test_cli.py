@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import run_capped
+from oracles import as_raw, brute_star
 
+from maxplus_martin import NEG_INF, kleene_star
 from maxplus_martin.cli import main
+from maxplus_martin.errors import AssumptionViolatedWarning
+from maxplus_martin.fileio import load_kernel
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DATA = os.path.join(ROOT, "data")
@@ -305,9 +309,36 @@ def test_lq_verify_refuses_too_few_probes(capsys, count):
     assert err == "error: --probes must be at least 1\n"
 
 
+HUGE = "-1" + "0" * 400
+
+
+@pytest.mark.parametrize("name,text", [
+    ("huge.json", '{"states":["a","b"],"matrix":[[0,%s],["-inf",-1]]}' % HUGE),
+    ("huge.csv", ",a,b\na,0,%s\nb,-inf,-1\n" % HUGE),
+])
+def test_an_int_past_the_float_range_beside_an_absent_arc(capsys, tmp_path, name, text):
+    # the object array holds the int and a float -inf: no sum may add them
+    path = tmp_path / name
+    path.write_text(text)
+    kernel = load_kernel(str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AssumptionViolatedWarning)
+        star = kleene_star(kernel)
+    assert star.entries == ((0, -(10**400)), (NEG_INF, 0))
+    raw = [[as_raw(v) for v in row] for row in kernel.entries]
+    assert [[as_raw(v) for v in row] for row in star.entries] == brute_star(raw, 4)
+    code, out, err = run(capsys, "star", str(path))
+    assert code == 0
+    assert json.loads(out)["star"] == [[0, -(10**400)], ["-inf", 0]]
+    assert err == "warning: star kernel has -inf entries; Martin operations will refuse it\n"
+    code, out, err = run(capsys, "martin", str(path), "--lam", "auto")
+    assert code == 2 and out == ""
+    assert err.endswith("error: star kernel has -inf entries, so Martin objects are undefined\n")
+
+
 def golden_cases():
-    """Finite-side runs whose exit code, stdout and stderr are pinned in
-    golden/cli.json; paths are relative to the repository root."""
+    """Runs of every JSON-writing command whose exit code, stdout and stderr
+    are pinned in golden/cli.json; paths are relative to the repository root."""
     kernels = ["data/two_state.json", "data/ring.csv",
                "tests/golden/float.json", "tests/golden/mixed.csv"]
     for kernel in kernels:
@@ -320,6 +351,12 @@ def golden_cases():
     yield ["represent", two, "tests/golden/measure.json"]
     yield ["extremal", two, h]
     yield ["downhill", two, h, "--start", "b"]
+    yield ["lq-star", "--x", "1,0", "--y", "2,0"]
+    yield ["lq-star", "--x", "0.3,-1.7", "--y=-2,0"]
+    yield ["lq-horofunction", "--x", "0,2", "--n", "0,5"]
+    yield ["lq-flow", "--h", "stable", "--x0", "1,0.5", "--duration", "0.2"]
+    yield ["lq-verify", "--target", "stable", "--t", "1", "--probes", "2",
+           "--spacing", "0.1", "--per-probe"]
 
 
 def run_golden(argv) -> dict:

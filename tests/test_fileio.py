@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import finite_kernels, float_kernels, labels, sparse_kernels
+from oracles import canonical_json_text
 from maxplus_martin import (
     DimensionMismatch,
     KernelMatrix,
@@ -399,3 +400,48 @@ def test_pipeline_never_builds_entries(tmp_path, name, text):
     geodesic_limit(path, star, 1e-3)
     for obj in (kernel, normalized, star):
         assert "entries" not in obj.__dict__
+
+
+json_leaves = st.one_of(
+    st.integers(),
+    st.integers(-10**60, 10**60),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.floats(-1e20, 1e20).map(np.float64),
+    st.sampled_from([0.5, 1e15, 1e16, -0.0, 123456789012.5, 1e-5, 2.0**53]),
+    st.fractions(max_denominator=10**6),
+    st.sampled_from([NEG_INF, POS_INF]),
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1F)),
+)
+json_keys = st.one_of(st.text(), st.integers(-5, 5), st.floats(-2, 2),
+                      st.booleans(), st.none(), st.sampled_from(["1", "True", "None"]))
+json_payloads = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_keys, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(json_payloads)
+def test_canonical_json_matches_the_two_pass_oracle(payload):
+    assert canonical_json(payload) == canonical_json_text(payload)
+
+
+def test_canonical_json_corner_cases_match_the_oracle():
+    payloads = [
+        {}, [], (), {"a": {}, "b": [], "c": ()},
+        {1: "int key", "1": "str key", 1.5: [None, True, False]},
+        {"é \x00": "ü\x1f\"\\"},
+        [10**40, -(10**40), Fraction(7, 1), Fraction(-1, 3), NEG_INF, POS_INF],
+        [np.float64(2.5), np.float64("nan"), np.float64("-inf"), 1e300, -1e-300],
+    ]
+    for payload in payloads:
+        assert canonical_json(payload) == canonical_json_text(payload)
+    with pytest.raises(TypeError, match="not JSON encodable"):
+        canonical_json({"a": [object()]})

@@ -411,3 +411,40 @@ print("ok")
 """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+@st.composite
+def past_float_kernels(draw):
+    """Int kernels with entries past the float range beside absent arcs,
+    so every sum on their arrays runs on Python ints next to a float -inf."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(NEG_INF), st.integers(-9, 2),
+                      st.integers(-(10**400), -(10**399)))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    rows[0][-1] = -(10**400)
+    return KernelMatrix(states=labels(n), entries=rows)
+
+
+@settings(max_examples=40)
+@given(past_float_kernels(), st.integers(2, 4))
+def test_entries_past_the_float_range_beside_absent_arcs(kernel, t):
+    raw = raw_entries(kernel)
+    means = enumerate_cycle_means(raw)
+    if means:
+        assert max_cycle_mean(kernel) == max(means)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AssumptionViolatedWarning)
+        try:
+            star = kleene_star(kernel)
+        except PositiveCycle:
+            assert max(means) > 0
+            return
+    assert raw_entries(star) == brute_star(raw, 2 * kernel.n)
+    step = raw
+    for _ in range(t - 1):
+        step = mp_matmul(step, raw)
+    assert raw_entries(matrix_power(kernel, t)) == step
+    column = [star.entries[i][0] for i in range(kernel.n)]
+    assert is_superharmonic(kernel, column)
+    assert list(apply(kernel, column)) == [
+        NEG_INF if v == -math.inf else v for v in mp_apply(raw, [as_raw(v) for v in column])]

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +104,19 @@ def test_martin_kernel_worked_example():
     assert [obj.members for obj in objects] == [(0,), (1,)]
     assert objects[0].representative == 0
     assert objects[1].representative == 1
+
+
+def test_martin_objects_hash_by_members():
+    star = kleene_star(TWO_STATE)
+    first = martin_kernel(star)
+    again = martin_kernel(kleene_star(TWO_STATE))
+    assert first == again and first[0] is not again[0]
+    assert [hash(obj) for obj in first] == [hash(obj) for obj in again]
+    assert {first[0]: 1, first[1]: 2}[again[1]] == 2
+    # the same class with another column is another object
+    other = replace(first[0], column=(0, -2))
+    assert other != first[0]
+    assert {first[0]: 1}.get(other) is None
 
 
 def test_martin_kernel_refuses_nonfinite_star():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import parse_token
+
 from maxplus_martin import NEG_INF, POS_INF, is_finite, oplus, otimes
 from maxplus_martin.semiring import (
     coerce_value,
@@ -129,3 +131,52 @@ def test_is_finite():
 def test_infinities_pickle_to_the_same_objects():
     for v in (NEG_INF, POS_INF):
         assert pickle.loads(pickle.dumps(v)) is v
+
+
+def _same_parse(token):
+    """parse_value(token) against oracles.parse_token: the same value of
+    the same type, or ValueError with the same message."""
+    try:
+        want = parse_token(token)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            parse_value(token)
+        assert str(info.value) == str(exc)
+        return
+    got = parse_value(token)
+    if want == "-inf":
+        assert got is NEG_INF
+    elif want == "+inf":
+        assert got is POS_INF
+    else:
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)
+
+
+TOKENS = ["1_000", " 12 ", "+5", "1e3", "1E3", "infinity", "-Infinity", "nan",
+          "NaN", "-nan", "١٢", "-٣.5", "0x10", "1.5.2", "", " ",
+          "-0", "007", "1_000.5", "1__0", "_1", ".5", "5.", "-.5e-3", "e3",
+          "inf", "-INF", "+Inf", "+-3", "1 2", "\t-7\n", "10" * 30, "1e400"]
+
+
+@pytest.mark.parametrize("token", TOKENS)
+def test_parse_value_matches_the_oracle_on_odd_tokens(token):
+    _same_parse(token)
+
+
+decimal_tokens = st.builds(
+    lambda sign, whole, frac, exp, pad: pad + sign + whole + frac + exp + pad,
+    st.sampled_from(["", "-", "+"]),
+    st.from_regex(r"[0-9_]{0,6}", fullmatch=True),
+    st.sampled_from(["", "."]).flatmap(
+        lambda dot: st.from_regex(r"[0-9]{0,4}", fullmatch=True).map(lambda d: dot + d)),
+    st.sampled_from(["", "e", "E"]).flatmap(
+        lambda e: st.from_regex(r"[-+]?[0-9]{0,3}", fullmatch=True).map(lambda d: e + d if e else "")),
+    st.sampled_from(["", " ", "\t"]),
+)
+
+
+@given(st.one_of(decimal_tokens, st.text(max_size=8),
+                 st.text(alphabet="0123456789.-+eEinfa_ x", max_size=8)))
+def test_parse_value_matches_the_oracle(token):
+    _same_parse(token)
