@@ -20,37 +20,33 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DimensionMismatch
 from .kernel import KernelMatrix
-from .semiring import NEG_INF, POS_INF, Value, format_value, parse_value
+from .semiring import NEG_INF, Value, coerce_value, format_value, is_finite, parse_value
 
 
 def value_to_json(v: Value):
-    """JSON-encodable form of a semiring value."""
-    if v is NEG_INF:
-        return "-inf"
-    if v is POS_INF:
-        return "+inf"
+    """JSON-encodable form of a semiring value; the infinities as the
+    strings "-inf" and "+inf"."""
     if isinstance(v, bool):
         raise DimensionMismatch("booleans are not kernel values")
     if isinstance(v, int):
         return v
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else float(v)
-    return float(v)
+    v = float(v)
+    return v if is_finite(v) else "-inf" if v < 0 else "+inf"
 
 
 def value_from_json(raw) -> Value:
-    if isinstance(raw, str):
-        return parse_value(raw)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+    """A value of a function or measure file; NaN, "nan" included, is a
+    ValueError."""
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
         raise DimensionMismatch(f"not a kernel value: {raw!r}")
-    return parse_value(raw)
+    return coerce_value(parse_value(raw))
 
 
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return value_to_json(obj)
-    if obj is NEG_INF or obj is POS_INF:
-        return repr(obj)
     raise TypeError(f"not JSON encodable: {obj!r}")
 
 
@@ -132,23 +128,20 @@ def kernel_to_dict(kernel: KernelMatrix) -> dict:
 
 
 def _number(token, floats: list):
-    """A kernel-file token other than an int as an array number: an int or
-    float as parsed, -inf for an absent arc.  Every other float is also
-    appended to floats; +inf and NaN from text pass, for the kernel's checks."""
+    """A kernel-file token other than an int, parsed: an int, a float, or
+    -inf for an absent arc.  Every other float is also appended to floats;
+    +inf and NaN from text pass, for the kernel's checks."""
     if token == "-inf":
-        return -math.inf
+        return NEG_INF
     if isinstance(token, str):
         v = parse_value(token)
-        if v is NEG_INF:
-            return -math.inf
-        v = math.inf if v is POS_INF else v
     elif type(token) is float:
         if token != token:
             raise ValueError("NaN is not a max-plus value")
         v = token
     else:
         raise DimensionMismatch(f"not a kernel value: {token!r}")
-    if type(v) is float and v != -math.inf:
+    if type(v) is float and v != NEG_INF:
         floats.append(v)
     return v
 

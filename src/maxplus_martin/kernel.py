@@ -45,9 +45,6 @@ Grid = tuple[tuple[Value, ...], ...]
 EXACT_LIMIT = 2**53
 # elements in the largest temporary of one max-plus product
 _CHUNK = 1 << 18
-_NINF = -math.inf
-# the types of a function with neither a Fraction nor a float
-_EXACT_INTS = {int, type(NEG_INF)}
 
 
 def _freeze(rows) -> Grid:
@@ -62,9 +59,9 @@ def _python_ints(array: np.ndarray) -> np.ndarray:
     a float array holds integers below 2^53, which int64 holds exactly."""
     if array.dtype == object:
         return array
-    finite = array != _NINF
+    finite = array != NEG_INF
     out = np.where(finite, array, 0).astype(np.int64).astype(object)
-    out[~finite] = _NINF
+    out[~finite] = NEG_INF
     return out
 
 
@@ -77,9 +74,9 @@ def _adder(array: np.ndarray):
 
 def _int_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a + b on arrays of Python ints and -inf, -inf absorbing (see _adder)."""
-    a_absent, b_absent = a == _NINF, b == _NINF
+    a_absent, b_absent = a == NEG_INF, b == NEG_INF
     out = np.where(a_absent, 0, a) + np.where(b_absent, 0, b)
-    out[a_absent | b_absent] = _NINF
+    out[a_absent | b_absent] = NEG_INF
     return out
 
 
@@ -102,7 +99,7 @@ class Scaled:
     def top(self):
         """A bound on the magnitude of the finite entries: their largest
         magnitude unless the operation that made the array seeded a bound."""
-        finite = self.array[self.array != _NINF]
+        finite = self.array[self.array != NEG_INF]
         return abs(finite).max() if finite.size else 0
 
     def exact(self, terms: int) -> np.ndarray:
@@ -123,9 +120,7 @@ class Scaled:
 
     def value(self, v) -> Value:
         """One number of the array as a semiring value."""
-        if v == _NINF:
-            return NEG_INF
-        if self.kind is float:
+        if self.kind is float or v == NEG_INF:
             return float(v)
         if self.kind is int:
             return int(v)
@@ -135,36 +130,48 @@ class Scaled:
         """Rows of `array` (default: this grid's) as semiring values."""
         rows = (self.array if array is None else array).tolist()
         if self.kind is float:
-            return [[NEG_INF if v == _NINF else v for v in row] for row in rows]
+            return rows
         # grids repeat few values, and a Fraction costs a gcd to build
         distinct = set().union(*rows)
-        distinct.discard(_NINF)
+        distinct.discard(NEG_INF)
         if self.kind is int:
             table = {v: int(v) for v in distinct}
         else:
             table = {v: Fraction(int(v), self.q) for v in distinct}
-        table[_NINF] = NEG_INF
+        table[NEG_INF] = NEG_INF
         return [list(map(table.__getitem__, row)) for row in rows]
+
+
+def _kinds(values) -> set[type]:
+    """The types of the finite values: -inf, a float, marks an absent arc
+    and leaves int and Fraction values exact."""
+    kinds = set(map(type, values))
+    if float in kinds and all(v == NEG_INF for v in values if type(v) is float):
+        kinds.discard(float)
+    return kinds
+
+
+def _has_pos_inf(values) -> bool:
+    return any(type(v) is float and v == POS_INF for v in values)
 
 
 def scale(rows, q: int = 1) -> Scaled:
     """The Scaled form of a grid of semiring values.
 
-    Any float makes a float grid.  Otherwise q grows to the lcm of q and
-    every Fraction denominator, and the grid reports Fractions when it
+    Any finite float makes a float grid.  Otherwise q grows to the lcm of q
+    and every Fraction denominator, and the grid reports Fractions when it
     holds one or q exceeds 1.
     """
     flat = [v for row in rows for v in row]
-    if any(issubclass(t, float) for t in set(map(type, flat))):
-        array = [[_NINF if v is NEG_INF else v for v in row] for row in rows]
-        return Scaled(_float_array(array), 1, float)
+    if any(issubclass(t, float) for t in _kinds(flat)):
+        return Scaled(_float_array(rows), 1, float)
     denominators = [v.denominator for v in flat if isinstance(v, Fraction)]
     q = math.lcm(q, *denominators)
     ints = [
-        [_NINF if v is NEG_INF else v.numerator * (q // v.denominator) for v in row]
+        [v if type(v) is float else v.numerator * (q // v.denominator) for v in row]
         for row in rows
     ]
-    top = max((abs(v) for row in ints for v in row if v != _NINF), default=0)
+    top = max((abs(v) for row in ints for v in row if type(v) is not float), default=0)
     kind = Fraction if denominators or q > 1 else int
     dtype = float if top < EXACT_LIMIT else object
     return _seeded(Scaled(np.array(ints, dtype=dtype), q, kind), top=top)
@@ -247,7 +254,7 @@ class KernelMatrix:
     def __init__(self, states, entries, basepoint: int = 0):
         rows = _freeze(entries)
         states = tuple(str(s) for s in states)
-        _check(states, rows, basepoint, any(v is POS_INF for row in rows for v in row))
+        _check(states, rows, basepoint, _has_pos_inf(v for row in rows for v in row))
         _seeded(self, states=states, entries=rows, basepoint=basepoint)
 
     @classmethod
@@ -292,9 +299,7 @@ class KernelMatrix:
         """The entries as semiring values: from the rows a file was read
         into, which keep each entry's type, or else from the array."""
         rows = self.__dict__.pop("_rows", None)
-        if rows is None:
-            return _grid(self.scaled.values())
-        return tuple(tuple(NEG_INF if v == _NINF else v for v in row) for row in rows)
+        return _grid(self.scaled.values() if rows is None else rows)
 
     @cached_property
     def tol(self) -> float:
@@ -348,7 +353,7 @@ def matrix_power(kernel: KernelMatrix, t: int) -> KernelMatrix:
     if not isinstance(t, int) or t < 0:
         raise DimensionMismatch("power must be a nonnegative integer")
     if t == 0:
-        eye = Scaled(np.where(np.eye(kernel.n, dtype=bool), 0.0, _NINF), 1, int)
+        eye = Scaled(np.where(np.eye(kernel.n, dtype=bool), 0.0, NEG_INF), 1, int)
         return KernelMatrix._computed(kernel.states, kernel.basepoint, eye)
     if t == 1:
         return kernel
@@ -383,21 +388,19 @@ def _on_grid(grid: Scaled, g: Sequence[Value], terms: int = 2):
     else on the lcm of their denominators, in Python ints when a sum of
     `terms` numbers could reach 2^53.  Returns the grid's array, g's row and
     the grid's Scaled on that scale, which reads values back."""
-    kinds = set(map(type, g))
-    if grid.kind is float or float in kinds:
+    kinds = {float} if grid.kind is float else _kinds(g)
+    if float in kinds:
         grid = grid.to(1, float)
-        g = np.array([_NINF if v is NEG_INF else v for v in g], dtype=float)
-        return grid.array, g, grid
+        return grid.array, np.array(g, dtype=float), grid
     q, kind = grid.q, grid.kind
-    if not kinds <= _EXACT_INTS:
+    if kinds - {int}:
         fractions = [v.denominator for v in g if isinstance(v, Fraction)]
-        if fractions:
-            q, kind = math.lcm(q, *fractions), Fraction
+        q, kind = math.lcm(q, *fractions), Fraction
     grid = grid.to(q, kind)
     ints, top = [], 0
     for v in g:  # g times q, and its largest finite magnitude
-        if v is NEG_INF:
-            ints.append(_NINF)
+        if type(v) is float:  # -inf
+            ints.append(v)
             continue
         v = v.numerator * (q // v.denominator)
         ints.append(v)
@@ -412,11 +415,11 @@ def _on_grid(grid: Scaled, g: Sequence[Value], terms: int = 2):
 def apply(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
     """Act on a function: (A g)(x) = max_y A<x,y> + g(y)."""
     g = _function(kernel, g)
-    up = [y for y, v in enumerate(g) if v is POS_INF]
-    a, row, grid = _on_grid(kernel.scaled, [NEG_INF if v is POS_INF else v for v in g])
+    up = [type(v) is float and v == POS_INF for v in g]
+    a, row, grid = _on_grid(kernel.scaled, [NEG_INF if u else v for u, v in zip(up, g)])
     image = grid.values(np.maximum.reduce(_adder(a)(a, row), axis=1)[None])[0]
-    if up:  # +inf wins wherever an arc reaches it; -inf absorbs it
-        hit = (kernel.scaled.array[:, up] != _NINF).any(axis=1).tolist()
+    if True in up:  # +inf wins wherever an arc reaches it; -inf absorbs it
+        hit = (kernel.scaled.array[:, up] != NEG_INF).any(axis=1).tolist()
         image = [POS_INF if reach else v for reach, v in zip(hit, image)]
     return tuple(image)
 
@@ -441,10 +444,10 @@ def max_cycle_mean(kernel: KernelMatrix) -> Value:
     for k in range(n):
         np.maximum.reduce(add(table[k, :, None], a), out=table[k + 1])
     last = table[n]
-    if _NINF in last.tolist():
+    if NEG_INF in last.tolist():
         # the states an n-step walk reaches; each suffix of that walk also
         # reaches them, so their D_k are all finite
-        table = table[:, last != _NINF]
+        table = table[:, last != NEG_INF]
         if not table.size:
             raise NoCycle("no cycle with finite arcs")
     rise = table[n] - table[:n]
@@ -525,7 +528,7 @@ class StarMatrix:
     @cached_property
     def finite(self) -> bool:
         """True when every entry is finite (the standing assumption)."""
-        return not (self.scaled.array == _NINF).any()
+        return not (self.scaled.array == NEG_INF).any()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -602,7 +605,7 @@ def _fixed(kernel: KernelMatrix, h: Sequence[Value], sub: bool = False, terms: i
     `terms` is passed to): exact, or within kernel.tol with a float; -inf
     matches only -inf."""
     h = _function(kernel, h)
-    if any(v is POS_INF for v in h):
+    if _has_pos_inf(h):
         raise DimensionMismatch("harmonic candidates may not take +inf")
     a, g, grid = _on_grid(kernel.scaled, h, terms)
     sums = _adder(a)(a, g)

@@ -268,7 +268,7 @@ def verify_harmonic_lq(
     """
     lam = _check_lam(lam)
     t = float(t)
-    if t <= 0:
+    if not 0 < t < math.inf:
         raise NonpositiveHorizon("horizon must be strictly positive")
     pts = np.atleast_2d(np.asarray(probes, dtype=float))
     dim = pts.shape[1]
@@ -348,11 +348,17 @@ def feedback_trajectory(h: Field, x0, duration, step):
     """
     duration = float(duration)
     step = float(step)
-    if duration <= 0 or step <= 0:
+    if not (duration > 0 and step > 0):  # NaN included
         raise DimensionMismatch("duration and step must be positive")
     if step > duration:
         raise DimensionMismatch("step exceeds duration")
     x = _vec(x0).copy()
+    # a float count, which an infinite duration leaves infinite
+    if (round(duration / step, 0) + 1) * len(x) > MAX_GRID_POINTS:
+        raise DimensionMismatch(
+            f"trajectory of {duration / step:.12g} steps in dimension {len(x)} "
+            f"exceeds {MAX_GRID_POINTS} points; lengthen the step"
+        )
     steps = int(round(duration / step))
     times = np.arange(steps + 1) * step
     out = np.empty((steps + 1, len(x)))

@@ -166,9 +166,10 @@ def mu(xi: Sequence[Value], eta: MartinObject, star: StarMatrix) -> Value:
     """
     _require_finite(star)
     xi = _function(star.source, xi)
-    if any(xi[x] is POS_INF for x in eta.members):
+    up = [type(v) is float and v == POS_INF for v in xi]
+    if any(up[x] for x in eta.members):
         return POS_INF
-    s, g, grid = _on_grid(star.scaled, [NEG_INF if v is POS_INF else v for v in xi])
+    s, g, grid = _on_grid(star.scaled, [NEG_INF if u else v for u, v in zip(up, xi)])
     return grid.value(_measure(s, g, [eta.members], star.basepoint)[0])
 
 

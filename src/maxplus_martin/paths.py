@@ -33,6 +33,7 @@ from .kernel import (
     joint,
     matrix_power,
 )
+from .lq import MAX_GRID_POINTS
 from .martin import MartinObject, _martin_objects, _require_finite, recurrence_classes
 from .semiring import NEG_INF, POS_INF, Value, le_close, otimes
 
@@ -98,9 +99,9 @@ def path_reward(
 
 def _excess(target: Value, achieved: Value) -> Value:
     """How much slack the inequality achieved >= target - eps needs."""
-    if target is NEG_INF:
+    if type(target) is float and target == NEG_INF:
         return 0
-    if achieved is NEG_INF:
+    if type(achieved) is float and achieved == NEG_INF:
         return POS_INF
     d = target - achieved
     return d if d > 0 else 0
@@ -114,8 +115,14 @@ def almost_geodesic_excess(
     Maximum over sampled index pairs i < j of A*<x_i,x_j> minus the
     sampled reward; a single-sample path needs no slack at all.  All pairs
     are one masked array on the star's array: row i of the cumulative step
-    rewards from sample i against row x_i of the star.
+    rewards from sample i against row x_i of the star.  A path whose pairs
+    exceed lq.MAX_GRID_POINTS is a DimensionMismatch.
     """
+    if len(path) ** 2 > MAX_GRID_POINTS:
+        raise DimensionMismatch(
+            f"geodesic check of {len(path)} samples exceeds {MAX_GRID_POINTS} "
+            f"sample pairs; shorten the path"
+        )
     steps = _steps(kernel, path)
     q, kind = joint(star.scaled, steps)
     target = star.scaled.to(q, kind)
@@ -153,7 +160,7 @@ def almost_optimal_excess(
     if len(h) != kernel.n:
         raise DimensionMismatch(f"function has {len(h)} values for {kernel.n} states")
     start = h[path.states[0]]
-    if start is NEG_INF:
+    if type(start) is float and start == NEG_INF:
         return 0
     steps = step_rewards(kernel, path)
     worst: Value = 0
@@ -214,6 +221,10 @@ def downhill_path(
         raise DimensionMismatch("slack must be positive")
     if length < 0:
         raise DimensionMismatch("length must be nonnegative")
+    if length + 1 > MAX_GRID_POINTS:
+        raise DimensionMismatch(
+            f"path of {length + 1} samples exceeds {MAX_GRID_POINTS}; lower the length"
+        )
     if not 0 <= start < kernel.n:
         raise DimensionMismatch("start state out of range")
     harmonic, sums, _, _ = _fixed(kernel, h)

@@ -1,10 +1,11 @@
 """Scalar arithmetic for the max-plus semiring.
 
-Values are plain Python numbers (int, float, Fraction) extended with two
-tagged infinities.  Semiring addition is max, multiplication is ordinary +,
-the additive neutral is -inf and the multiplicative neutral is 0.  Keeping
-integers as Python ints means every finite-state computation downstream is
-exact; floats only enter through file input or the continuous module.
+Values are plain Python numbers (int, float, Fraction); the float
+infinities -inf and +inf complete the semiring, and are compared with ==.
+Semiring addition is max, multiplication is ordinary +, the additive
+neutral is -inf and the multiplicative neutral is 0.  Keeping integers
+as Python ints means every finite-state computation downstream is exact;
+floats only enter through file input or the continuous module.
 
 The +inf element belongs to the completed semiring.  It never appears in
 kernel data, but the product rule must still make -inf absorbing, so
@@ -18,61 +19,18 @@ import numbers
 from fractions import Fraction
 from typing import Union
 
+NEG_INF = -math.inf
+POS_INF = math.inf
 
-class _Infinite:
-    """Tagged infinity, totally ordered against every real number."""
-
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign):
-        self._sign = sign
-
-    def __lt__(self, other):
-        if isinstance(other, _Infinite):
-            return self._sign < other._sign
-        return self._sign < 0
-
-    def __le__(self, other):
-        if isinstance(other, _Infinite):
-            return self._sign <= other._sign
-        return self._sign < 0
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinite):
-            return self._sign > other._sign
-        return self._sign > 0
-
-    def __ge__(self, other):
-        if isinstance(other, _Infinite):
-            return self._sign >= other._sign
-        return self._sign > 0
-
-    def __neg__(self):
-        return NEG_INF if self._sign > 0 else POS_INF
-
-    def __repr__(self):
-        return "-inf" if self._sign < 0 else "+inf"
-
-    def __reduce__(self):
-        # keep the singletons unique across pickling
-        return (_resolve, (self._sign,))
-
-
-def _resolve(sign):
-    return NEG_INF if sign < 0 else POS_INF
-
-
-NEG_INF = _Infinite(-1)
-POS_INF = _Infinite(+1)
-
-Value = Union[int, float, Fraction, _Infinite]
+Value = Union[int, float, Fraction]
 
 # Absolute floor of every float comparison; kernels add a relative term.
 TOL = 1e-9
 
 
 def is_finite(a: Value) -> bool:
-    return not isinstance(a, _Infinite)
+    """False on a float infinity only; an int past the float range is finite."""
+    return not (isinstance(a, float) and math.isinf(a))
 
 
 def oplus(a: Value, b: Value) -> Value:
@@ -83,21 +41,16 @@ def oplus(a: Value, b: Value) -> Value:
 def otimes(a: Value, b: Value) -> Value:
     """Semiring product: ordinary addition with -inf absorbing.
 
-    The order of the two checks makes -inf win against +inf, which is the
-    convention the completed semiring needs.
+    -inf wins against +inf, which is the convention the completed semiring
+    needs, and an infinity is never added to an int past the float range.
     """
-    if a is NEG_INF or b is NEG_INF:
-        return NEG_INF
-    if a is POS_INF or b is POS_INF:
-        return POS_INF
-    return a + b
+    infinite = [v for v in (a, b) if not is_finite(v)]
+    return min(infinite) if infinite else a + b
 
 
 def le_close(a: Value, b: Value, tol: float = TOL) -> bool:
-    """a <= b, allowing float slack of tol."""
-    if isinstance(a, _Infinite) or isinstance(b, _Infinite):
-        return a <= b
-    if isinstance(a, float) or isinstance(b, float):
+    """a <= b, allowing float slack of tol between finite values."""
+    if (isinstance(a, float) or isinstance(b, float)) and is_finite(a) and is_finite(b):
         return a <= b + tol
     return a <= b
 
@@ -105,15 +58,13 @@ def le_close(a: Value, b: Value, tol: float = TOL) -> bool:
 def coerce_value(v) -> Value:
     """Normalize a raw number into the completed semiring.
 
-    Float infinities collapse onto the tagged singletons and numpy
-    scalars onto plain Python numbers, so identity checks against
-    NEG_INF stay reliable no matter where an entry came from.  Booleans
-    and NaN are rejected.
+    Numpy scalars become plain Python numbers, so an entry has the same
+    type wherever it came from.  Booleans and NaN are rejected.
     """
     kind = type(v)
-    if kind is int or kind is Fraction or kind is _Infinite:
+    if kind is int or kind is Fraction:
         return v
-    if kind is float and math.isfinite(v):
+    if kind is float and v == v:
         return v
     if isinstance(v, bool):
         raise ValueError(f"not a max-plus value: {v!r}")
@@ -127,8 +78,6 @@ def coerce_value(v) -> Value:
         f = float(v)
         if math.isnan(f):
             raise ValueError("NaN is not a max-plus value")
-        if math.isinf(f):
-            return NEG_INF if f < 0 else POS_INF
         return f
     raise ValueError(f"not a max-plus value: {v!r}")
 
@@ -138,7 +87,7 @@ def parse_value(token) -> Value:
 
     Accepts numbers as-is (ints stay ints, bit exact), and the strings
     "-inf" / "+inf" (case insensitive, bare "inf" allowed) plus decimal
-    literals.
+    literals, all of which float() reads.
     """
     if not isinstance(token, str):
         return coerce_value(token)
@@ -148,10 +97,6 @@ def parse_value(token) -> Value:
             return int(text)
         except ValueError:
             pass
-    elif text == "-inf":
-        return NEG_INF
-    elif text in ("+inf", "inf"):
-        return POS_INF
     try:
         return float(text)
     except ValueError:
@@ -172,8 +117,6 @@ def format_value(v: Value) -> str:
         if v == int(v) and abs(v) < 1e15:
             return str(int(v))
         return f"{v:.12g}"
-    if isinstance(v, _Infinite):
-        return repr(v)
     if isinstance(v, Fraction) and v.denominator != 1:
         return format_value(float(v))
     return str(v)

@@ -23,6 +23,12 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+def same(got, want) -> bool:
+    """got equals want and has its type: the check that pins a float
+    infinity, which has no one object to test by identity."""
+    return type(got) is type(want) and got == want
+
+
 def labels(n: int) -> tuple[str, ...]:
     return tuple(f"s{i}" for i in range(n))
 
@@ -38,18 +44,20 @@ def finite_kernels(draw, max_n: int = 5, low: int = -9, high: int = 0):
 
 
 @st.composite
-def float_twins(draw, max_n: int = 8, max_exp: int = 9):
+def float_twins(draw, max_n: int = 8, max_exp: int = 9, sparse: bool = False):
     """A float kernel with its integer twin, and the unit linking them.
 
     The twin's entries m are drawn from [-3000, 1000]; the float kernel
     holds m * 10^k / 1000 rounded once, k <= max_exp, so its entries are
     3-decimal values in [-3, 1] times a scale factor of up to 10^max_exp.
+    With sparse, either twin has -inf where the other has it.
     """
     n = draw(st.integers(2, max_n))
     scale = 10 ** draw(st.integers(0, max_exp))
-    rows = [
-        [draw(st.integers(-3000, 1000)) for _ in range(n)] for _ in range(n)
-    ]
+    entry = st.integers(-3000, 1000)
+    if sparse:
+        entry = st.one_of(entry, st.just(NEG_INF))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
     floats = [[m * scale / 1000 for m in row] for row in rows]
     return (
         KernelMatrix(states=labels(n), entries=floats),
@@ -77,6 +85,11 @@ def fraction_kernels(draw, max_n: int = 6):
 def float_kernels(max_n: int = 8, max_exp: int = 9):
     """All-finite float kernels, entries as in float_twins."""
     return float_twins(max_n, max_exp).map(lambda twins: twins[0])
+
+
+def sparse_float_kernels(max_n: int = 8, max_exp: int = 9):
+    """Float kernels with -inf gaps, entries as in float_twins."""
+    return float_twins(max_n, max_exp, sparse=True).map(lambda twins: twins[0])
 
 
 @st.composite

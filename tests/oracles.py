@@ -18,10 +18,10 @@ NEG = float("-inf")
 
 
 def as_raw(value):
-    """Package scalar to oracle scalar (tagged infinity to float -inf)."""
-    if isinstance(value, (int, float, Fraction)):
-        return value
-    return float(repr(value).replace("+", ""))
+    """Package scalar to oracle scalar: the same plain number, the
+    infinities being floats on both sides."""
+    assert type(value) in (int, float, Fraction), value
+    return value
 
 
 def mp_matmul(a, b):
@@ -347,7 +347,7 @@ def canonical_json_text(payload) -> str:
     """Canonical report text in two passes: rewrite the payload (keys as
     str, tuples as lists, floats as their 12-digit JSON value or, when not
     finite, a string), then json.dumps(indent=2).  Fractions go to an int or
-    a float, the tagged infinities to their repr."""
+    a float."""
 
     def walk(node):
         if isinstance(node, dict):
@@ -362,8 +362,6 @@ def canonical_json_text(payload) -> str:
     def default(obj):
         if isinstance(obj, Fraction):
             return int(obj) if obj.denominator == 1 else float(obj)
-        if repr(obj) in ("-inf", "+inf"):
-            return repr(obj)
         raise TypeError(f"not JSON encodable: {obj!r}")
 
     return json.dumps(walk(payload), default=default, indent=2) + "\n"

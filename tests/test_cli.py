@@ -301,6 +301,46 @@ def test_lq_horosphere_refuses_an_oversized_grid(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("length,code,message", [
+    ("1999", 0, ""),
+    # 2001 samples: every geodesic check array would hold 2000^2 entries
+    ("2000", 1, "error: geodesic check of 2001 samples exceeds 4000000 sample pairs; "
+                "shorten the path\n"),
+    ("20000", 1, "error: geodesic check of 20001 samples exceeds 4000000 sample pairs; "
+                 "shorten the path\n"),
+    ("1000000000", 1, "error: path of 1000000001 samples exceeds 4000000; "
+                      "lower the length\n"),
+], ids=["1999", "2000", "20000", "1e9"])
+def test_downhill_keeps_long_paths_inside_the_grid_budget(tmp_path, length, code, message):
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"a": 0, "b": 1}))
+    proc = run_capped("downhill", TWO_STATE, str(h), "--start", "b", "--length", length)
+    assert (proc.returncode, proc.stderr) == (code, message)
+    if code:
+        assert proc.stdout == ""
+    else:
+        assert len(json.loads(proc.stdout)["states"]) == 2000
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--duration", "1e9", "--step", "1e-9"],
+     "trajectory of 1e+18 steps in dimension 2 exceeds 4000000 points; lengthen the step"),
+    (["--duration", "inf"],
+     "trajectory of inf steps in dimension 2 exceeds 4000000 points; lengthen the step"),
+    (["--duration", "nan"], "duration and step must be positive"),
+], ids=["1e18-steps", "inf-duration", "nan-duration"])
+def test_lq_flow_refuses_a_trajectory_past_the_grid_budget(args, message):
+    proc = run_capped("lq-flow", "--h", "stable", "--x0", "1,0", *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_lq_verify_refuses_a_nonfinite_horizon(capsys, t):
+    code, out, err = run(capsys, "lq-verify", "--target", "horofunction", "--n", "0,1",
+                         "--t", t)
+    assert (code, out, err) == (1, "", "error: horizon must be strictly positive\n")
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_lq_verify_refuses_too_few_probes(capsys, count):
     code, out, err = run(capsys, "lq-verify", "--target", "stable",

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import finite_kernels, float_kernels, labels, sparse_kernels
+from conftest import (
+    finite_kernels,
+    float_kernels,
+    labels,
+    same,
+    sparse_float_kernels,
+    sparse_kernels,
+)
 from oracles import canonical_json_text
 from maxplus_martin import (
     DimensionMismatch,
     KernelMatrix,
+    MaxPlusError,
     NEG_INF,
     POS_INF,
     downhill_path,
@@ -25,6 +34,7 @@ from maxplus_martin import (
     normalize,
     spectral_measure,
 )
+from maxplus_martin.errors import AssumptionViolatedWarning
 from maxplus_martin.semiring import format_value, parse_value
 from maxplus_martin.fileio import (
     canonical_json,
@@ -55,8 +65,10 @@ def test_value_conversions():
     assert value_to_json(Fraction(4, 2)) == 2
     assert value_to_json(Fraction(1, 2)) == 0.5
     assert value_to_json(1.25) == 1.25
-    assert value_from_json("-inf") is NEG_INF
+    assert same(value_from_json("-inf"), NEG_INF)
     assert value_from_json(3) == 3 and isinstance(value_from_json(3), int)
+    with pytest.raises(ValueError, match="NaN is not a max-plus value"):
+        value_from_json("nan")
     with pytest.raises(DimensionMismatch):
         value_from_json(True)
     with pytest.raises(DimensionMismatch):
@@ -95,7 +107,7 @@ def test_kernel_json_round_trip(tmp_path):
     save_kernel_json(SAMPLE, str(path))
     back = load_kernel_json(str(path))
     assert back == SAMPLE
-    assert back.entries[0][2] is NEG_INF
+    assert same(back.entries[0][2], NEG_INF)
     assert back.basepoint == 1
 
 
@@ -135,7 +147,7 @@ def test_kernel_csv_round_trip(tmp_path):
     )
     back = load_kernel_csv(str(path))
     assert back.entries == ((7, 0.5, 2), (-0.125, NEG_INF, 2), (0, 10**13, -3))
-    assert back.entries[1][1] is NEG_INF
+    assert same(back.entries[1][1], NEG_INF)
     assert all(isinstance(v, int) for v in (back.entries[0][2], back.entries[2][1]))
 
 
@@ -219,7 +231,7 @@ NEG_CSV = ["-inf", "-INF", "-Infinity", " -inf "]
 
 def _tokens(kernel, spell, csv):
     def token(v):
-        if v is NEG_INF:
+        if same(v, NEG_INF):
             return spell
         return repr(v) if csv else v
 
@@ -235,7 +247,7 @@ def _same_kernel(loaded, want):
     assert loaded.entries == want.entries
     for row, want_row in zip(loaded.entries, want.entries):
         assert [type(v) for v in row] == [type(v) for v in want_row]
-        assert [v is NEG_INF for v in row] == [v is NEG_INF for v in want_row]
+        assert [same(v, NEG_INF) for v in row] == [same(v, NEG_INF) for v in want_row]
     assert loaded == want and loaded.basepoint == want.basepoint
 
 
@@ -270,6 +282,51 @@ def test_loaded_kernel_equals_the_constructed_one(kernel, data):
         want = KernelMatrix(kernel.states, [[parse_value(t.strip()) for t in row]
                                             for row in tokens])
         _same_kernel(load_kernel(path), want)
+
+
+def _pipeline(kernel):
+    """lambda, the normalized star's entries and the Martin columns, as far
+    as the pipeline gets, then the type of the error that ends it."""
+    out = []
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AssumptionViolatedWarning)
+            out.append(max_cycle_mean(kernel))
+            star = kleene_star(normalize(kernel, out[0]))
+            out.append(star.entries)
+            out.append([obj.column for obj in martin_kernel(star)])
+    except MaxPlusError as exc:
+        out.append(type(exc))
+    return out
+
+
+@given(st.one_of(sparse_kernels(), sparse_float_kernels(max_n=5, max_exp=3)))
+def test_minus_infinity_keeps_the_kind_of_the_finite_entries(kernel):
+    # -inf as a float in the constructor, as JSON's -Infinity and as CSV
+    # text, against the kernel read with "-inf" in JSON
+    finite = {type(v) for row in kernel.entries for v in row if v != NEG_INF}
+    kind = float if float in finite else int
+    with tempfile.TemporaryDirectory() as tmp:
+        def load(spell, csv):
+            tokens = _tokens(kernel, spell, csv)
+            path = os.path.join(tmp, "k.csv" if csv else "k.json")
+            with open(path, "w") as fh:
+                if csv:
+                    fh.write("," + ",".join(kernel.states) + "\n")
+                    for label, row in zip(kernel.states, tokens):
+                        fh.write(",".join([label] + row) + "\n")
+                else:
+                    json.dump({"states": list(kernel.states), "matrix": tokens}, fh)
+            return load_kernel(path)
+
+        want = load("-inf", csv=False)
+        # fresh float objects: no identity test against NEG_INF holds for them
+        built = [[float("-inf") if v == NEG_INF else v for v in row] for row in kernel.entries]
+        spelled = [KernelMatrix(kernel.states, built), load(float("-inf"), csv=False),
+                   load("-inf", csv=True)]
+        for got in [want, *spelled]:
+            assert got.scaled.kind is kind
+            assert repr(_pipeline(got)) == repr(_pipeline(want))
 
 
 def test_ints_past_the_float_range_load_exactly(tmp_path):
@@ -377,7 +434,7 @@ def test_spellings_of_minus_infinity(tmp_path, name, text):
     path.write_text(text)
     kernel = load_kernel(str(path))
     assert kernel.entries == ((0, NEG_INF), (-1, NEG_INF))
-    assert kernel.entries[0][1] is NEG_INF and kernel.entries[1][1] is NEG_INF
+    assert same(kernel.entries[0][1], NEG_INF) and same(kernel.entries[1][1], NEG_INF)
     assert kernel.scaled.kind is int
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import same
 from oracles import parse_token
 
 from maxplus_martin import NEG_INF, POS_INF, is_finite, oplus, otimes
@@ -50,16 +51,20 @@ def test_otimes_distributes_over_oplus(a, b, c):
 
 @given(scalars)
 def test_neg_inf_absorbs(a):
-    assert otimes(a, NEG_INF) is NEG_INF
-    assert otimes(NEG_INF, a) is NEG_INF
+    assert same(otimes(a, NEG_INF), NEG_INF)
+    assert same(otimes(NEG_INF, a), NEG_INF)
 
 
 def test_completed_product_convention():
     # -inf wins against +inf from either side
-    assert otimes(NEG_INF, POS_INF) is NEG_INF
-    assert otimes(POS_INF, NEG_INF) is NEG_INF
-    assert otimes(POS_INF, POS_INF) is POS_INF
-    assert otimes(POS_INF, 3) is POS_INF
+    assert same(otimes(NEG_INF, POS_INF), NEG_INF)
+    assert same(otimes(POS_INF, NEG_INF), NEG_INF)
+    assert same(otimes(POS_INF, POS_INF), POS_INF)
+    assert same(otimes(POS_INF, 3), POS_INF)
+    # an infinity is never added to an int past the float range
+    assert same(otimes(10**400, NEG_INF), NEG_INF)
+    assert same(otimes(POS_INF, -(10**400)), POS_INF)
+    assert otimes(10**400, -(10**400)) == 0
 
 
 def test_order_against_reals():
@@ -68,8 +73,8 @@ def test_order_against_reals():
     assert not NEG_INF < NEG_INF
     assert NEG_INF <= NEG_INF
     assert POS_INF >= POS_INF
-    assert -NEG_INF is POS_INF
-    assert -POS_INF is NEG_INF
+    assert same(-NEG_INF, POS_INF)
+    assert same(-POS_INF, NEG_INF)
 
 
 def test_le_close_semantics():
@@ -78,13 +83,14 @@ def test_le_close_semantics():
     assert le_close(1 + 1e-10, 1.0)
     assert not le_close(1 + 1e-8, 1.0)
     assert le_close(1, 1)
+    assert le_close(NEG_INF, -(10**400)) and not le_close(10**400, NEG_INF)
 
 
 def test_parse_value_tokens():
-    assert parse_value("-inf") is NEG_INF
-    assert parse_value("-INF") is NEG_INF
-    assert parse_value("+inf") is POS_INF
-    assert parse_value("inf") is POS_INF
+    assert same(parse_value("-inf"), NEG_INF)
+    assert same(parse_value("-INF"), NEG_INF)
+    assert same(parse_value("+inf"), POS_INF)
+    assert same(parse_value("inf"), POS_INF)
     assert parse_value("3") == 3 and isinstance(parse_value("3"), int)
     assert parse_value("-2.5") == -2.5
     assert parse_value(7) == 7
@@ -99,9 +105,9 @@ def test_parse_value_tokens():
 def test_coerce_value_normalizes_raw_floats():
     import numpy as np
 
-    assert coerce_value(float("-inf")) is NEG_INF
-    assert coerce_value(float("inf")) is POS_INF
-    assert coerce_value(np.float64("-inf")) is NEG_INF
+    assert same(coerce_value(float("-inf")), NEG_INF)
+    assert same(coerce_value(float("inf")), POS_INF)
+    assert same(coerce_value(np.float64("-inf")), NEG_INF)
     v = coerce_value(np.int64(4))
     assert v == 4 and type(v) is int
     assert type(coerce_value(np.float64(0.5))) is float
@@ -115,7 +121,7 @@ def test_coerce_value_normalizes_raw_floats():
 def test_format_value_round_trip():
     assert format_value(3) == "3"
     assert format_value(NEG_INF) == "-inf"
-    assert format_value(POS_INF) == "+inf"
+    assert format_value(POS_INF) == "inf"
     assert format_value(Fraction(4, 2)) == "2"
     assert format_value(Fraction(1, 2)) == "0.5"
     assert format_value(0.1) == "0.1"
@@ -126,11 +132,12 @@ def test_format_value_round_trip():
 def test_is_finite():
     assert is_finite(0) and is_finite(1e300) and is_finite(Fraction(1))
     assert not is_finite(NEG_INF) and not is_finite(POS_INF)
+    assert is_finite(10**400) and is_finite(-(10**400))
 
 
 def test_infinities_pickle_to_the_same_objects():
     for v in (NEG_INF, POS_INF):
-        assert pickle.loads(pickle.dumps(v)) is v
+        assert same(pickle.loads(pickle.dumps(v)), v)
 
 
 def _same_parse(token):
@@ -145,9 +152,9 @@ def _same_parse(token):
         return
     got = parse_value(token)
     if want == "-inf":
-        assert got is NEG_INF
+        assert same(got, NEG_INF)
     elif want == "+inf":
-        assert got is POS_INF
+        assert same(got, POS_INF)
     else:
         assert type(got) is type(want)
         assert repr(got) == repr(want)
