@@ -31,7 +31,6 @@ from .semiring import (
     format_value,
     is_finite,
     oplus,
-    otimes,
     parse_value,
 )
 from .kernel import (

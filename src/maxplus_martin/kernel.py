@@ -471,7 +471,7 @@ def normalize(kernel: KernelMatrix, lam: Value) -> KernelMatrix:
     q' = lcm(q, r) and holds a*(q'/q) - p*(q'/r); a float lam or kernel
     gives floats, as Python's mixed arithmetic does.
     """
-    if not is_finite(lam):
+    if not is_finite(lam) or lam != lam:  # NaN
         raise DimensionMismatch("normalization constant must be finite")
     scaled = kernel.scaled
     if scaled.kind is float or isinstance(lam, float):

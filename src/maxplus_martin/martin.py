@@ -20,17 +20,19 @@ import numpy as np
 
 from .errors import AssumptionViolated, NotHarmonic, NotNormalized
 from .kernel import (
+    Scaled,
     StarMatrix,
     _adder,
     _close,
     _fixed,
     _function,
+    _has_pos_inf,
     _on_grid,
     _product,
     _python_ints,
     _slack,
 )
-from .semiring import NEG_INF, POS_INF, Value, oplus, otimes
+from .semiring import NEG_INF, POS_INF, Value, coerce_value
 
 
 def _require_finite(star: StarMatrix):
@@ -197,13 +199,17 @@ def spectral_measure(
 
 
 def represent(nu: Mapping[MartinObject, Value], star: StarMatrix) -> tuple[Value, ...]:
-    """Max-plus combination sup_w nu(w) + w of minimal columns."""
-    out = [NEG_INF] * star.n
-    for w, weight in nu.items():
-        col = w.column
-        for x in range(star.n):
-            out[x] = oplus(out[x], otimes(weight, col[x]))
-    return tuple(out)
+    """Max-plus combination sup_w nu(w) + w of minimal columns: one max over
+    the columns on the star's array, +inf everywhere when a weight is +inf."""
+    weights = list(map(coerce_value, nu.values()))
+    if _has_pos_inf(weights):
+        return (POS_INF,) * star.n
+    s, reps = star.scaled, [w.representative for w in nu]
+    a = s.exact(2)
+    columns = Scaled(a[:, reps] - a[star.basepoint, reps], s.q, s.kind)
+    c, g, grid = _on_grid(columns, weights)
+    combined = np.maximum.reduce(_adder(c)(c, g), axis=1, initial=NEG_INF)
+    return tuple(grid.values(combined[None])[0])
 
 
 def extremal_witness(

@@ -28,14 +28,18 @@ from .kernel import (
     KernelMatrix,
     Scaled,
     StarMatrix,
+    _adder,
     _fixed,
+    _function,
     _python_ints,
+    _slack,
     joint,
     matrix_power,
+    scale,
 )
 from .lq import MAX_GRID_POINTS
 from .martin import MartinObject, _martin_objects, _require_finite, recurrence_classes
-from .semiring import NEG_INF, POS_INF, Value, le_close, otimes
+from .semiring import NEG_INF, POS_INF, Value, is_finite
 
 
 @dataclass(frozen=True)
@@ -77,9 +81,28 @@ def _steps(kernel: KernelMatrix, path: DiscretePath) -> Scaled:
     return Scaled(np.array([out], dtype=dtype), scaled.q, scaled.kind)
 
 
-def step_rewards(kernel: KernelMatrix, path: DiscretePath) -> list[Value]:
-    """Per-step rewards A^{dt}<x_k, x_{k+1}> along the sampled path."""
-    return _steps(kernel, path).values()[0]
+def _prefix(kernel: KernelMatrix, path: DiscretePath, *grids: Scaled):
+    """C, the impossible steps, the arrays of `grids` on C's scale, and a
+    Scaled that reads values on it.
+
+    C_0 = 0 and C_j = r_0 + ... + r_{j-1} over the step rewards, an
+    impossible step (-inf) counting 0: the reward from sample i to j is
+    C_j - C_i unless a step k with i <= k < j is impossible.  Exact kinds
+    hold Python ints when two grid entries and two prefixes could sum past
+    2^53.
+    """
+    steps = _steps(kernel, path)
+    q, kind = joint(steps, *grids)
+    steps = steps.to(q, kind)
+    r = steps.array[0]
+    absent = r == NEG_INF
+    arrays = [np.where(absent, 0, r), *(g.to(q, kind).array for g in grids)]
+    if kind is not float:
+        bound = 2 * (max((g.top for g in grids), default=0) + abs(arrays[0]).sum())
+        if bound >= EXACT_LIMIT or object in (a.dtype for a in arrays):
+            arrays = [_python_ints(a) for a in arrays]
+    r, *arrays = arrays
+    return np.concatenate(([0], np.cumsum(r))), absent, arrays, steps
 
 
 def path_reward(
@@ -90,58 +113,47 @@ def path_reward(
         j = len(path) - 1
     if not 0 <= i <= j < len(path):
         raise DimensionMismatch("segment indices out of range")
-    steps = step_rewards(kernel, path)
-    total: Value = 0
-    for k in range(i, j):
-        total = otimes(total, steps[k])
-    return total
+    c, absent, _, grid = _prefix(kernel, path)
+    return NEG_INF if absent[i:j].any() else grid.value(c[j] - c[i])
 
 
-def _excess(target: Value, achieved: Value) -> Value:
-    """How much slack the inequality achieved >= target - eps needs."""
-    if type(target) is float and target == NEG_INF:
-        return 0
-    if type(achieved) is float and achieved == NEG_INF:
-        return POS_INF
-    d = target - achieved
-    return d if d > 0 else 0
+def _within(excess: Value, eps: Value, kernel: KernelMatrix) -> bool:
+    """excess <= eps, with the kernel's float slack when either is a float
+    and both are finite."""
+    floats = isinstance(excess, float) or isinstance(eps, float)
+    kind = float if floats and is_finite(excess) and is_finite(eps) else int
+    return excess <= eps + _slack(kernel, kind)
 
 
 def almost_geodesic_excess(
     kernel: KernelMatrix, star: StarMatrix, path: DiscretePath
 ) -> Value:
-    """Smallest eps for which the path is an eps-almost-geodesic.
-
-    Maximum over sampled index pairs i < j of A*<x_i,x_j> minus the
-    sampled reward; a single-sample path needs no slack at all.  All pairs
-    are one masked array on the star's array: row i of the cumulative step
-    rewards from sample i against row x_i of the star.  A path whose pairs
-    exceed lq.MAX_GRID_POINTS is a DimensionMismatch.
+    """Smallest eps for which the path is an eps-almost-geodesic:
+    max_j [max_{i<j} A*<x_i,x_j> + C_i] - C_j, and 0, from one running
+    maximum over the rows A*<x_i,.> + C_i (see _prefix); +inf when a finite
+    A*<x_i,x_j> spans an impossible step.  Rows of more than
+    lq.MAX_GRID_POINTS values are a DimensionMismatch.
     """
-    if len(path) ** 2 > MAX_GRID_POINTS:
+    if len(path) * kernel.n > MAX_GRID_POINTS:
         raise DimensionMismatch(
-            f"geodesic check of {len(path)} samples exceeds {MAX_GRID_POINTS} "
-            f"sample pairs; shorten the path"
+            f"geodesic check of {len(path)} samples on {kernel.n} states exceeds "
+            f"{MAX_GRID_POINTS} points; shorten the path"
         )
-    steps = _steps(kernel, path)
-    q, kind = joint(star.scaled, steps)
-    target = star.scaled.to(q, kind)
-    reward = steps.to(q, kind).array[0]
-    if kind is not float:
-        bound = target.top + abs(reward[reward != -np.inf]).sum()
-        if bound >= EXACT_LIMIT:
-            target = Scaled(_python_ints(target.array), q, kind)
-            reward = _python_ints(reward)
-    # achieved[i, j-1] = reward of samples i..j, summed from i as a walk would
-    upper = ~np.tri(len(reward), k=-1, dtype=bool)
-    achieved = np.cumsum(np.where(upper, reward, 0), axis=1)
-    xs = path.states
-    goal = target.array[np.array(xs[:-1], dtype=int)[:, None], xs[1:]]
-    pairs = upper & (goal != -np.inf)
-    if (pairs & (achieved == -np.inf)).any():
-        return POS_INF
-    worst = (np.where(pairs, goal, 0) - np.where(pairs, achieved, 0)).max(initial=0)
-    return target.value(worst) if worst > 0 else 0
+    c, absent, (s,), grid = _prefix(kernel, path, star.scaled)
+    xs = np.array(path.states)
+    rows = s[xs[:-1]]
+    if absent.any():
+        # for sample k + 1, the last impossible step up to k; no row before
+        # it may reach the sample
+        cut = np.maximum.accumulate(np.where(absent, np.arange(len(absent)), -1))
+        crossed = np.flatnonzero(cut >= 0)
+        reach = np.logical_or.accumulate(rows != NEG_INF, axis=0)
+        if reach[cut[crossed], xs[crossed + 1]].any():
+            return POS_INF
+    best = np.maximum.accumulate(_adder(rows)(rows, c[:-1, None]), axis=0)
+    best = best[np.arange(len(rows)), xs[1:]]
+    worst = _adder(best)(best, -c[1:]).max(initial=0)
+    return grid.value(worst) if worst > 0 else 0
 
 
 def is_almost_geodesic(
@@ -149,28 +161,33 @@ def is_almost_geodesic(
 ) -> bool:
     if eps < 0:
         raise DimensionMismatch("slack must be nonnegative")
-    return le_close(almost_geodesic_excess(kernel, star, path), eps, kernel.tol)
+    return _within(almost_geodesic_excess(kernel, star, path), eps, kernel)
 
 
 def almost_optimal_excess(
     kernel: KernelMatrix, path: DiscretePath, h: Sequence[Value]
 ) -> Value:
-    """Smallest eps for which h(x_0) <= eps + reward(0,j) + h(x_j) for all j."""
+    """Smallest eps for which h(x_0) <= eps + reward(0,j) + h(x_j) for all j.
+
+    -inf absorbs +inf in reward(0,j) + h(x_j), and a +inf on both sides
+    needs no slack.
+    """
     _check_states(kernel, path)
-    if len(h) != kernel.n:
-        raise DimensionMismatch(f"function has {len(h)} values for {kernel.n} states")
-    start = h[path.states[0]]
-    if type(start) is float and start == NEG_INF:
+    h = _function(kernel, h)
+    along = [h[x] for x in path.states]
+    if along[0] == NEG_INF:
         return 0
-    steps = step_rewards(kernel, path)
-    worst: Value = 0
-    acc: Value = 0
-    for j in range(1, len(path)):
-        acc = otimes(acc, steps[j - 1])
-        e = _excess(start, otimes(acc, h[path.states[j]]))
-        if worst < e:
-            worst = e
-    return worst
+    up = np.array([type(v) is float and v == POS_INF for v in along])
+    values = scale([[NEG_INF if u else v for u, v in zip(up, along)]])
+    c, absent, ((g,),), grid = _prefix(kernel, path, values)
+    up = up[1:]
+    # an impossible step makes every later reward -inf
+    if absent.any() or ((g[1:] == NEG_INF) & ~up).any():
+        return POS_INF
+    if g[0] == NEG_INF:  # h(x_0) = +inf
+        return 0 if up.all() else POS_INF
+    worst = np.where(up, 0, g[0] - (c[1:] + np.where(up, 0, g[1:]))).max(initial=0)
+    return grid.value(worst) if worst > 0 else 0
 
 
 def is_almost_optimal(
@@ -185,7 +202,7 @@ def is_almost_optimal(
         raise DimensionMismatch("almost-optimal paths must start at time 0")
     if eps < 0:
         raise DimensionMismatch("slack must be nonnegative")
-    return le_close(almost_optimal_excess(kernel, path, h), eps, kernel.tol)
+    return _within(almost_optimal_excess(kernel, path, h), eps, kernel)
 
 
 def path_J(star: StarMatrix, path: DiscretePath, s: int, t: int) -> Value:
@@ -197,10 +214,11 @@ def path_J(star: StarMatrix, path: DiscretePath, s: int, t: int) -> Value:
         raise AssumptionViolated("relative defect needs a finite star kernel")
     if not 0 <= s <= t < len(path):
         raise DimensionMismatch("segment indices out of range")
-    x0 = path.states[0]
-    head = star.entries[x0][path.states[s]]
-    tail = star.entries[x0][path.states[t]]
-    return otimes(otimes(head, path_reward(star.source, path, s, t)), -tail)
+    c, absent, (a,), grid = _prefix(star.source, path, star.scaled)
+    if absent[s:t].any():
+        return NEG_INF
+    x0, xs, xt = (path.states[k] for k in (0, s, t))
+    return grid.value(a[x0, xs] + (c[t] - c[s]) - a[x0, xt])
 
 
 def downhill_path(
@@ -231,9 +249,7 @@ def downhill_path(
     if not harmonic:
         raise NotHarmonic("downhill construction needs a harmonic function")
     if sums[start].max() == -np.inf:  # max_y A<x,y> + h(y) = h(x) = -inf
-        raise HMinusInfinityAtStart(
-            f"h is -inf at start state {kernel.states[start]!r}"
-        )
+        raise HMinusInfinityAtStart(f"h is -inf at start state {kernel.states[start]!r}")
     # each state's first best successor; from a finite h(x) the walk only
     # reaches states where h is finite
     successor = sums.argmax(axis=1).tolist()
@@ -259,14 +275,9 @@ def geodesic_limit(path: DiscretePath, star: StarMatrix, eps: Value) -> MartinOb
     classes = recurrence_classes(star)
     class_of = {member: cid for cid, members in enumerate(classes) for member in members}
     ids = [class_of[s] for s in path.states]
-    settled = len(set(ids)) == 1 or ids[-1] == ids[-2]
-    if not settled:
-        raise NotEventuallyConstant(
-            "Martin class still changing at the final sample"
-        )
+    if len(set(ids)) > 1 and ids[-1] != ids[-2]:
+        raise NotEventuallyConstant("Martin class still changing at the final sample")
     limit = _martin_objects(star, [(ids[-1], classes[ids[-1]])])[0]
     if not limit.harmonic:
-        raise AssumptionViolated(
-            "path settled on a class whose column is not harmonic"
-        )
+        raise AssumptionViolated("path settled on a class whose column is not harmonic")
     return limit

@@ -8,8 +8,7 @@ as Python ints means every finite-state computation downstream is exact;
 floats only enter through file input or the continuous module.
 
 The +inf element belongs to the completed semiring.  It never appears in
-kernel data, but the product rule must still make -inf absorbing, so
-(-inf) * (+inf) = -inf.
+kernel data, but -inf stays absorbing in products: (-inf) * (+inf) = -inf.
 """
 
 from __future__ import annotations
@@ -36,23 +35,6 @@ def is_finite(a: Value) -> bool:
 def oplus(a: Value, b: Value) -> Value:
     """Semiring sum: the maximum under the extended total order."""
     return b if a < b else a
-
-
-def otimes(a: Value, b: Value) -> Value:
-    """Semiring product: ordinary addition with -inf absorbing.
-
-    -inf wins against +inf, which is the convention the completed semiring
-    needs, and an infinity is never added to an int past the float range.
-    """
-    infinite = [v for v in (a, b) if not is_finite(v)]
-    return min(infinite) if infinite else a + b
-
-
-def le_close(a: Value, b: Value, tol: float = TOL) -> bool:
-    """a <= b, allowing float slack of tol between finite values."""
-    if (isinstance(a, float) or isinstance(b, float)) and is_finite(a) and is_finite(b):
-        return a <= b + tol
-    return a <= b
 
 
 def coerce_value(v) -> Value:

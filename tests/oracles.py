@@ -103,10 +103,9 @@ def extremal_class(star, b, h, classes, tol):
     return None
 
 
-def geodesic_excess(star, entries, times, states):
-    """max over sample pairs i < j of A*[x_i][x_j] minus the summed step
-    rewards A^dt[x_k][x_k+1] from i to j, and 0; +inf when a finite star
-    entry faces a segment with an impossible step."""
+def step_rewards(entries, times, states):
+    """The rewards A^dt[x_k][x_k+1] of the sampled steps, each power a chain
+    of max-plus products."""
     powers = {}
     steps = []
     for k in range(len(times) - 1):
@@ -117,6 +116,14 @@ def geodesic_excess(star, entries, times, states):
                 power = mp_matmul(power, entries)
             powers[dt] = power
         steps.append(powers[dt][states[k]][states[k + 1]])
+    return steps
+
+
+def geodesic_excess(star, entries, times, states):
+    """max over sample pairs i < j of A*[x_i][x_j] minus the summed step
+    rewards A^dt[x_k][x_k+1] from i to j, and 0; +inf when a finite star
+    entry faces a segment with an impossible step."""
+    steps = step_rewards(entries, times, states)
     worst = 0
     for i in range(len(states)):
         acc = 0
@@ -128,6 +135,30 @@ def geodesic_excess(star, entries, times, states):
             if acc == NEG:
                 return math.inf
             worst = max(worst, goal - acc)
+    return worst
+
+
+def optimal_excess(entries, h, times, states):
+    """max over samples j >= 1 of h(x_0) minus (the summed step rewards from
+    0 to j plus h(x_j)), and 0.  -inf absorbs in the sums, also against
+    +inf; h(x_0) = -inf needs no slack, a -inf right side needs +inf, and a
+    +inf right side none."""
+    start = h[states[0]]
+    if start == NEG:
+        return 0
+    steps = step_rewards(entries, times, states)
+    worst = 0
+    acc = 0
+    for j in range(1, len(states)):
+        acc = NEG if NEG in (acc, steps[j - 1]) else acc + steps[j - 1]
+        value = h[states[j]]
+        if NEG in (acc, value):
+            return math.inf
+        if value == math.inf:
+            continue
+        if start == math.inf:
+            return math.inf
+        worst = max(worst, start - (acc + value))
     return worst
 
 

@@ -30,7 +30,6 @@ from maxplus_martin import (
     minimal_martin_space,
     mu,
     optimal_horizon,
-    otimes,
     path_J,
     represent,
     spectral_measure,
@@ -297,7 +296,7 @@ def test_criterion_07_finite_star_exactness():
             assert star.entries[i][i] == 0
             for j in range(n):
                 for k in range(n):
-                    lhs = otimes(star.entries[i][k], star.entries[k][j])
+                    lhs = star.entries[i][k] + star.entries[k][j]
                     assert lhs <= star.entries[i][j]
         b = kernel.basepoint
         objects = martin_kernel(star)
@@ -398,7 +397,7 @@ def test_criterion_10_path_machinery():
         assert is_almost_optimal(path, h, eps, kernel)
         limit = geodesic_limit(path, star, eps)
         assert limit.minimal
-        assert otimes(mu(h, limit, star), limit.column[start]) == h[start]
+        assert mu(h, limit, star) + limit.column[start] == h[start]
         descents += 1
     assert descents >= 60
 
@@ -417,7 +416,7 @@ def test_criterion_10_path_machinery():
         right = path_J(star, path, t, u)
         whole = path_J(star, path, s, u)
         assert left <= 0 and right <= 0 and whole <= 0
-        assert whole == otimes(left, right)
+        assert whole == left + right
         segments += 1
     print(
         f"criterion 10: PASS ({descents} downhill paths geodesic, "

@@ -303,14 +303,14 @@ def test_lq_horosphere_refuses_an_oversized_grid(tmp_path):
 
 @pytest.mark.parametrize("length,code,message", [
     ("1999", 0, ""),
-    # 2001 samples: every geodesic check array would hold 2000^2 entries
-    ("2000", 1, "error: geodesic check of 2001 samples exceeds 4000000 sample pairs; "
-                "shorten the path\n"),
-    ("20000", 1, "error: geodesic check of 20001 samples exceeds 4000000 sample pairs; "
-                 "shorten the path\n"),
+    ("2000", 0, ""),
+    ("20000", 0, ""),
+    # 2000001 samples on 2 states: the geodesic scan would hold 4000002 values
+    ("2000000", 1, "error: geodesic check of 2000001 samples on 2 states exceeds "
+                   "4000000 points; shorten the path\n"),
     ("1000000000", 1, "error: path of 1000000001 samples exceeds 4000000; "
                       "lower the length\n"),
-], ids=["1999", "2000", "20000", "1e9"])
+], ids=["1999", "2000", "20000", "2e6", "1e9"])
 def test_downhill_keeps_long_paths_inside_the_grid_budget(tmp_path, length, code, message):
     h = tmp_path / "h.json"
     h.write_text(json.dumps({"a": 0, "b": 1}))
@@ -319,7 +319,14 @@ def test_downhill_keeps_long_paths_inside_the_grid_budget(tmp_path, length, code
     if code:
         assert proc.stdout == ""
     else:
-        assert len(json.loads(proc.stdout)["states"]) == 2000
+        assert len(json.loads(proc.stdout)["states"]) == int(length) + 1
+
+
+@pytest.mark.parametrize("command", ["star", "classes", "martin"])
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_a_nonfinite_lambda_is_refused(capsys, command, lam):
+    code, out, err = run(capsys, command, TWO_STATE, "--lam", lam)
+    assert (code, out, err) == (1, "", "error: normalization constant must be finite\n")
 
 
 @pytest.mark.parametrize("args,message", [

@@ -44,7 +44,6 @@ from maxplus_martin import (
     natural_kernel,
     normalize,
     oplus,
-    otimes,
     parse_value,
     recurrence_classes,
     represent,
@@ -342,7 +341,7 @@ def test_mu_and_H_worked_values():
     a, b = objects
     assert mu([0, 0], a, star) == 0
     assert mu([0, 0], b, star) == -1
-    assert H(a, b, star) == otimes(star.entries[0][0], b.column[0])
+    assert H(a, b, star) == star.entries[0][0] + b.column[0]
     assert same(mu([NEG_INF, NEG_INF], a, star), NEG_INF)
 
 

@@ -13,9 +13,10 @@ from conftest import (
     labels,
     normalized_corpus_kernel,
     same,
+    sparse_float_kernels,
     sparse_kernels,
 )
-from oracles import as_raw, geodesic_excess, greedy_descent
+from oracles import as_raw, geodesic_excess, greedy_descent, optimal_excess
 
 from maxplus_martin import (
     AssumptionViolated,
@@ -41,7 +42,6 @@ from maxplus_martin import (
     minimal_martin_space,
     mu,
     normalize,
-    otimes,
     path_J,
     path_reward,
 )
@@ -50,7 +50,6 @@ from maxplus_martin.errors import (
     NotAlmostGeodesic,
     NotEventuallyConstant,
 )
-from maxplus_martin.paths import step_rewards
 
 TWO_STATE = KernelMatrix(states=("a", "b"), entries=[[0, -1], [-1, 0]])
 
@@ -85,11 +84,11 @@ def test_step_rewards_match_matrix_powers(seed):
     rng = np.random.default_rng(seed)
     kernel = normalized_corpus_kernel(rng, max_n=5)
     path = random_path(rng, kernel)
-    rewards = step_rewards(kernel, path)
     for k in range(len(path) - 1):
         dt = path.times[k + 1] - path.times[k]
         power = matrix_power(kernel, dt)
-        assert rewards[k] == power.entries[path.states[k]][path.states[k + 1]]
+        reward = path_reward(kernel, path, k, k + 1)
+        assert reward == power.entries[path.states[k]][path.states[k + 1]]
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -102,7 +101,7 @@ def test_path_reward_is_multiplicative(seed):
     u = int(rng.integers(t, m))
     left = path_reward(kernel, path, int(s), int(t))
     right = path_reward(kernel, path, int(t), u)
-    assert otimes(left, right) == path_reward(kernel, path, int(s), u)
+    assert left + right == path_reward(kernel, path, int(s), u)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -129,8 +128,17 @@ huge_kernels = finite_kernels().map(lambda k: KernelMatrix(
     k.states, [[v * (2**50 + 1) - 2**52 - 3 for v in row] for row in k.entries]))
 
 
+def _agrees(kernel, got, want):
+    if kernel.scaled.kind is float:
+        # powers sum their floats in another order than the oracle's
+        assert as_raw(got) == pytest.approx(want, rel=1e-12, abs=kernel.tol)
+    else:
+        assert as_raw(got) == want
+        assert type(got) in (int, kernel.scaled.kind) or same(got, POS_INF)
+
+
 @given(st.one_of(finite_kernels(), sparse_kernels(), fraction_kernels(), float_kernels(),
-                 huge_kernels), st.data())
+                 sparse_float_kernels(), huge_kernels), st.data())
 def test_geodesic_excess_matches_the_oracle(kernel, data):
     try:
         kernel = normalize(kernel, max_cycle_mean(kernel))
@@ -139,22 +147,42 @@ def test_geodesic_excess_matches_the_oracle(kernel, data):
             star = kleene_star(kernel)
     except (NoCycle, PositiveCycle):
         return
-    m = data.draw(st.integers(1, 6))
+    # long enough to cross impossible steps on sparse kernels
+    m = data.draw(st.integers(1, 100))
     states = data.draw(st.lists(st.integers(0, kernel.n - 1), min_size=m, max_size=m))
     steps = data.draw(st.lists(st.integers(1, 3), min_size=m - 1, max_size=m - 1))
     times = [0]
     for dt in steps:
         times.append(times[-1] + dt)
-    got = almost_geodesic_excess(kernel, star, DiscretePath(times, states))
+    path = DiscretePath(times, states)
     raw = [[as_raw(v) for v in row] for row in kernel.entries]
-    want = geodesic_excess([[as_raw(v) for v in row] for row in star.entries], raw,
-                           times, states)
-    if kernel.scaled.kind is float:
-        # powers sum their floats in another order than the oracle's
-        assert as_raw(got) == pytest.approx(want, rel=1e-12, abs=kernel.tol)
-    else:
-        assert as_raw(got) == want
-        assert type(got) in (int, kernel.scaled.kind) or same(got, POS_INF)
+    star_raw = [[as_raw(v) for v in row] for row in star.entries]
+    _agrees(kernel, almost_geodesic_excess(kernel, star, path),
+            geodesic_excess(star_raw, raw, times, states))
+    # h with -inf and +inf entries pins -inf * +inf = -inf along the path
+    h = data.draw(st.lists(st.integers(-20, 20), min_size=kernel.n, max_size=kernel.n))
+    spots = data.draw(st.lists(st.integers(0, kernel.n - 1), max_size=2))
+    for spot, value in zip(spots, (NEG_INF, POS_INF)):
+        h[spot] = value
+    _agrees(kernel, almost_optimal_excess(kernel, path, h),
+            optimal_excess(raw, h, times, states))
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_long_paths_past_2_to_the_53_stay_exact(seed):
+    # the star and the steps fit float64, but a path's prefix sums pass 2^53
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    rows = rng.integers(-9, 1, size=(n, n)) * (2**45 + 1)
+    kernel = KernelMatrix(labels(n), rows.tolist())
+    kernel = normalize(kernel, max_cycle_mean(kernel))
+    star = kleene_star(kernel)
+    assert star.scaled.array.dtype == float
+    path = random_path(rng, kernel, max_len=100)
+    raw = [[as_raw(v) for v in row] for row in kernel.entries]
+    star_raw = [[as_raw(v) for v in row] for row in star.entries]
+    want = geodesic_excess(star_raw, raw, path.times, path.states)
+    assert almost_geodesic_excess(kernel, star, path) == want
 
 
 def test_almost_optimal_worked_example():
@@ -172,6 +200,48 @@ def test_almost_optimal_worked_example():
     assert almost_optimal_excess(TWO_STATE, path, [NEG_INF, NEG_INF]) == 0
 
 
+def test_verdicts_keep_the_float_slack_rule():
+    # an exact excess of 3/5 against the float eps 0.6, which is just below
+    # 3/5: a float on either side gets kernel.tol when both are finite
+    kernel = KernelMatrix(["a", "b"], [[0, Fraction(-3, 10)], [Fraction(-3, 10), 0]])
+    star = kleene_star(kernel)
+    path = DiscretePath((0, 1, 2), (0, 1, 0))
+    assert same(almost_geodesic_excess(kernel, star, path), Fraction(3, 5))
+    assert same(almost_optimal_excess(kernel, path, [0, 0]), Fraction(3, 5))
+    assert not Fraction(3, 5) <= 0.6
+    assert is_almost_geodesic(path, 0.6, kernel, star)
+    assert is_almost_optimal(path, [0, 0], 0.6, kernel)
+    # exact on both sides, or an infinite side: no slack
+    assert not is_almost_geodesic(path, Fraction(599999999999, 10**12), kernel, star)
+    assert not is_almost_optimal(path, [0, NEG_INF], 1e300, kernel)
+    assert is_almost_optimal(path, [NEG_INF, 0], 0.0, kernel)
+
+
+def test_completed_product_convention():
+    # -inf absorbs +inf along a path, and never meets an int past the float range
+    kernel = KernelMatrix(["a", "b"], [[0, -(10**400)], [NEG_INF, 0]])
+    down = DiscretePath((0, 1, 2), (0, 1, 1))
+    back = DiscretePath((0, 1, 2), (1, 0, 0))
+    assert path_reward(kernel, down) == -(10**400)
+    assert same(path_reward(kernel, back), NEG_INF)
+    assert same(path_reward(kernel, back, 1, 2), 0)
+    # reward + h(x_j): -10^400 + inf = inf needs no slack; -inf + inf = -inf needs +inf
+    assert almost_optimal_excess(kernel, down, [0, POS_INF]) == 0
+    assert same(almost_optimal_excess(kernel, back, [POS_INF, 0]), POS_INF)
+    assert almost_optimal_excess(kernel, down, [10**400, 0]) == 2 * 10**400
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AssumptionViolatedWarning)
+        star = kleene_star(kernel)
+    assert almost_geodesic_excess(kernel, star, down) == 0
+    # A*<b,a> is -inf, so the impossible step b > a needs no slack
+    assert almost_geodesic_excess(kernel, star, back) == 0
+    ring = KernelMatrix(["a", "b", "c"], [[NEG_INF, 0, NEG_INF], [NEG_INF, NEG_INF, 0],
+                                          [0, NEG_INF, NEG_INF]])
+    stay = DiscretePath((0, 1, 2), (0, 1, 1))
+    assert path_J(kleene_star(ring), stay, 0, 1) == 0
+    assert same(path_J(kleene_star(ring), stay, 0, 2), NEG_INF)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_path_J_is_nonpositive_and_additive(seed):
     rng = np.random.default_rng(seed)
@@ -183,9 +253,7 @@ def test_path_J_is_nonpositive_and_additive(seed):
         for t in range(s, m):
             assert path_J(star, path, s, t) <= 0
     s, t, u = sorted(int(v) for v in rng.integers(0, m, size=3))
-    assert path_J(star, path, s, u) == otimes(
-        path_J(star, path, s, t), path_J(star, path, t, u)
-    )
+    assert path_J(star, path, s, u) == path_J(star, path, s, t) + path_J(star, path, t, u)
 
 
 def test_path_J_needs_finite_star():
@@ -268,7 +336,7 @@ def test_downhill_is_geodesic_optimal_and_settles_minimally(seed):
     assert is_almost_optimal(path, h, eps, kernel)
     limit = geodesic_limit(path, star, eps)
     assert limit.minimal
-    assert otimes(mu(h, limit, star), limit.column[start]) == h[start]
+    assert mu(h, limit, star) + limit.column[start] == h[start]
 
 
 def test_geodesic_limit_worked_example():

@@ -8,13 +8,8 @@ from hypothesis import strategies as st
 from conftest import same
 from oracles import parse_token
 
-from maxplus_martin import NEG_INF, POS_INF, is_finite, oplus, otimes
-from maxplus_martin.semiring import (
-    coerce_value,
-    format_value,
-    le_close,
-    parse_value,
-)
+from maxplus_martin import NEG_INF, POS_INF, is_finite, oplus
+from maxplus_martin.semiring import coerce_value, format_value, parse_value
 
 scalars = st.one_of(
     st.integers(-50, 50),
@@ -39,32 +34,6 @@ def test_oplus_associates(a, b, c):
 @given(scalars)
 def test_neutral_elements(a):
     assert oplus(a, NEG_INF) is a or oplus(a, NEG_INF) == a
-    assert otimes(a, 0) is a or otimes(a, 0) == a
-
-
-@given(scalars, scalars, scalars)
-def test_otimes_distributes_over_oplus(a, b, c):
-    left = otimes(a, oplus(b, c))
-    right = oplus(otimes(a, b), otimes(a, c))
-    assert left == right or left is right
-
-
-@given(scalars)
-def test_neg_inf_absorbs(a):
-    assert same(otimes(a, NEG_INF), NEG_INF)
-    assert same(otimes(NEG_INF, a), NEG_INF)
-
-
-def test_completed_product_convention():
-    # -inf wins against +inf from either side
-    assert same(otimes(NEG_INF, POS_INF), NEG_INF)
-    assert same(otimes(POS_INF, NEG_INF), NEG_INF)
-    assert same(otimes(POS_INF, POS_INF), POS_INF)
-    assert same(otimes(POS_INF, 3), POS_INF)
-    # an infinity is never added to an int past the float range
-    assert same(otimes(10**400, NEG_INF), NEG_INF)
-    assert same(otimes(POS_INF, -(10**400)), POS_INF)
-    assert otimes(10**400, -(10**400)) == 0
 
 
 def test_order_against_reals():
@@ -75,15 +44,6 @@ def test_order_against_reals():
     assert POS_INF >= POS_INF
     assert same(-NEG_INF, POS_INF)
     assert same(-POS_INF, NEG_INF)
-
-
-def test_le_close_semantics():
-    assert le_close(NEG_INF, -5)
-    assert not le_close(5, NEG_INF)
-    assert le_close(1 + 1e-10, 1.0)
-    assert not le_close(1 + 1e-8, 1.0)
-    assert le_close(1, 1)
-    assert le_close(NEG_INF, -(10**400)) and not le_close(10**400, NEG_INF)
 
 
 def test_parse_value_tokens():
