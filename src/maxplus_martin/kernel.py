@@ -97,10 +97,11 @@ class Scaled:
 
     @cached_property
     def top(self):
-        """A bound on the magnitude of the finite entries: their largest
-        magnitude unless the operation that made the array seeded a bound."""
+        """A bound on the finite entries' magnitude, an int on exact kinds: their
+        largest magnitude unless the operation that made the array seeded one."""
         finite = self.array[self.array != NEG_INF]
-        return abs(finite).max() if finite.size else 0
+        top = abs(finite).max() if finite.size else 0
+        return top if self.kind is float else int(top)
 
     def exact(self, terms: int) -> np.ndarray:
         """The array, as Python ints when a sum of `terms` entries may reach 2^53."""
@@ -116,7 +117,7 @@ class Scaled:
         if kind is float:
             return Scaled(_float_array(self.array, self.q), 1, float)
         factor = q // self.q
-        return Scaled(self.exact(factor) * factor, q, kind)
+        return _seeded(Scaled(self.exact(factor) * factor, q, kind), top=self.top * factor)
 
     def value(self, v) -> Value:
         """One number of the array as a semiring value."""
@@ -204,12 +205,10 @@ def _grid(rows) -> Grid:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Max-plus product of two scaled arrays: max_k a[i, k] + b[k, j].
+    """Max-plus product max_k a[i, k] + b[k, j] of two scaled arrays of one dtype.
 
     Runs in row blocks so that no temporary exceeds _CHUNK elements.
     """
-    if a.dtype != b.dtype:
-        a, b = _python_ints(a), _python_ints(b)
     out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
     step = max(1, _CHUNK // max(1, b.size))
     add = _adder(a)
@@ -373,25 +372,30 @@ def matrix_power(kernel: KernelMatrix, t: int) -> KernelMatrix:
 
 
 def _function(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
+    """g's values, each finite or -inf: the one check of a function."""
     if len(g) != kernel.n:
         raise DimensionMismatch(
             f"function has {len(g)} values for {kernel.n} states"
         )
     try:
-        return tuple(map(coerce_value, g))
+        g = tuple(map(coerce_value, g))
     except ValueError as exc:
         raise DimensionMismatch(str(exc)) from None
+    if _has_pos_inf(g):
+        raise DimensionMismatch("functions may not take +inf")
+    return g
 
 
 def _on_grid(grid: Scaled, g: Sequence[Value], terms: int = 2):
-    """A grid and a function on one array: float when either holds a float,
-    else on the lcm of their denominators, in Python ints when a sum of
-    `terms` numbers could reach 2^53.  Returns the grid's array, g's row and
-    the grid's Scaled on that scale, which reads values back."""
+    """A grid and a row of values (finite or -inf) on one array: float when
+    either holds a float, an int past the float range being a DimensionMismatch,
+    else on the lcm of their denominators, in Python ints when a sum of `terms`
+    numbers could reach 2^53.  Returns the grid's array, g's row and the grid's
+    Scaled on that scale, which reads values back."""
     kinds = {float} if grid.kind is float else _kinds(g)
     if float in kinds:
         grid = grid.to(1, float)
-        return grid.array, np.array(g, dtype=float), grid
+        return grid.array, _float_array(g), grid
     q, kind = grid.q, grid.kind
     if kinds - {int}:
         fractions = [v.denominator for v in g if isinstance(v, Fraction)]
@@ -414,14 +418,8 @@ def _on_grid(grid: Scaled, g: Sequence[Value], terms: int = 2):
 
 def apply(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
     """Act on a function: (A g)(x) = max_y A<x,y> + g(y)."""
-    g = _function(kernel, g)
-    up = [type(v) is float and v == POS_INF for v in g]
-    a, row, grid = _on_grid(kernel.scaled, [NEG_INF if u else v for u, v in zip(up, g)])
-    image = grid.values(np.maximum.reduce(_adder(a)(a, row), axis=1)[None])[0]
-    if True in up:  # +inf wins wherever an arc reaches it; -inf absorbs it
-        hit = (kernel.scaled.array[:, up] != NEG_INF).any(axis=1).tolist()
-        image = [POS_INF if reach else v for reach, v in zip(hit, image)]
-    return tuple(image)
+    a, row, grid = _on_grid(kernel.scaled, _function(kernel, g))
+    return tuple(grid.values(np.maximum.reduce(_adder(a)(a, row), axis=1)[None])[0])
 
 
 def max_cycle_mean(kernel: KernelMatrix) -> Value:
@@ -467,39 +465,30 @@ def max_cycle_mean(kernel: KernelMatrix) -> Value:
 def normalize(kernel: KernelMatrix, lam: Value) -> KernelMatrix:
     """Subtract lam from every finite entry (spectral shift).
 
-    With lam = p/r on a kernel scaled by q, the result is scaled by
+    lam joins the kernel's array as a one-value row (see _on_grid): with
+    lam = p/r on a kernel scaled by q, the result is scaled by
     q' = lcm(q, r) and holds a*(q'/q) - p*(q'/r); a float lam or kernel
     gives floats, as Python's mixed arithmetic does.
     """
     if not is_finite(lam) or lam != lam:  # NaN
         raise DimensionMismatch("normalization constant must be finite")
-    scaled = kernel.scaled
-    if scaled.kind is float or isinstance(lam, float):
-        result = Scaled(scaled.to(1, float).array - float(lam), 1, float)
-    else:
-        kind = Fraction if scaled.kind is Fraction or isinstance(lam, Fraction) else int
-        lam = Fraction(lam)
-        q = math.lcm(scaled.q, lam.denominator)
-        up, shift = q // scaled.q, lam.numerator * (q // lam.denominator)
-        top = scaled.top * up + abs(shift)
-        array = scaled.array if top < EXACT_LIMIT else _python_ints(scaled.array)
-        result = _seeded(Scaled(array * up - shift, q, kind), top=top)
+    a, shift, grid = _on_grid(kernel.scaled, [lam])
+    result = Scaled(_adder(a)(a, -shift), grid.q, grid.kind)
+    if grid.kind is not float:
+        _seeded(result, top=grid.top + abs(int(shift[0])))
     return KernelMatrix._computed(kernel.states, kernel.basepoint, result)
 
 
 class StarMatrix:
     """Kleene star A* of a kernel, keeping a handle on its source.
 
-    A star made by kleene_star lives on its array; its `entries` are built
-    on first use, with the int 0 of the diagonal.
+    A star lives on its array `scaled`, of the source's denominator and of the
+    dtype of its `exact(2 n)`; its `entries` are built on first use, with the
+    int 0 of the diagonal.
     """
 
-    def __init__(self, entries, source: KernelMatrix):
-        _seeded(self, entries=_grid(entries), source=source)
-
-    @classmethod
-    def _computed(cls, source: KernelMatrix, scaled: Scaled) -> StarMatrix:
-        return _seeded(object.__new__(cls), source=source, scaled=scaled)
+    def __init__(self, source: KernelMatrix, scaled: Scaled):
+        _seeded(self, source=source, scaled=scaled)
 
     @property
     def n(self) -> int:
@@ -519,11 +508,6 @@ class StarMatrix:
         for i in range(self.n):
             rows[i][i] = 0
         return _grid(rows)
-
-    @cached_property
-    def scaled(self) -> Scaled:
-        """The entries as one array, on the source kernel's denominator."""
-        return scale(self.entries, self.source.scaled.q)
 
     @cached_property
     def finite(self) -> bool:
@@ -579,7 +563,7 @@ def kleene_star(kernel: KernelMatrix) -> StarMatrix:
             # fixes the state a positive cycle is reported through and the
             # last bits of a float star
             np.maximum(m[:k], add(m[:k, k, None], m[k]), out=m[:k])
-            m[k] += d
+            m[k] = add(m[k], m[k, k, None])
             np.maximum(m[k + 1 :], add(m[k + 1 :, k, None], m[k]), out=m[k + 1 :])
         else:
             np.maximum(m, add(m[:, k, None], m[k]), out=m)
@@ -589,7 +573,7 @@ def kleene_star(kernel: KernelMatrix) -> StarMatrix:
             f"cycle through state {kernel.states[over.index(True)]!r} has positive weight"
         )
     m.flat[:: n + 1] = 0
-    star = StarMatrix._computed(kernel, Scaled(m, scaled.q, scaled.kind))
+    star = StarMatrix(kernel, Scaled(m, scaled.q, scaled.kind))
     if not star.finite:
         warnings.warn(
             "star kernel has -inf entries; Martin operations will refuse it",
@@ -604,10 +588,7 @@ def _fixed(kernel: KernelMatrix, h: Sequence[Value], sub: bool = False, terms: i
     decided it, h's row and the Scaled they are on (see _on_grid, which
     `terms` is passed to): exact, or within kernel.tol with a float; -inf
     matches only -inf."""
-    h = _function(kernel, h)
-    if _has_pos_inf(h):
-        raise DimensionMismatch("harmonic candidates may not take +inf")
-    a, g, grid = _on_grid(kernel.scaled, h, terms)
+    a, g, grid = _on_grid(kernel.scaled, _function(kernel, h), terms)
     sums = _adder(a)(a, g)
     image = np.maximum.reduce(sums, axis=1)
     slack = _slack(kernel, grid.kind)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AssumptionViolated, NotHarmonic, NotNormalized
+from .errors import AssumptionViolated, DimensionMismatch, NotHarmonic, NotNormalized
 from .kernel import (
     Scaled,
     StarMatrix,
@@ -32,7 +32,7 @@ from .kernel import (
     _python_ints,
     _slack,
 )
-from .semiring import NEG_INF, POS_INF, Value, coerce_value
+from .semiring import NEG_INF, Value, coerce_value
 
 
 def _require_finite(star: StarMatrix):
@@ -167,11 +167,7 @@ def mu(xi: Sequence[Value], eta: MartinObject, star: StarMatrix) -> Value:
     mu_xi(eta) = max_{x in eta} A*<b,x> + xi(x).
     """
     _require_finite(star)
-    xi = _function(star.source, xi)
-    up = [type(v) is float and v == POS_INF for v in xi]
-    if any(up[x] for x in eta.members):
-        return POS_INF
-    s, g, grid = _on_grid(star.scaled, [NEG_INF if u else v for u, v in zip(up, xi)])
+    s, g, grid = _on_grid(star.scaled, _function(star.source, xi))
     return grid.value(_measure(s, g, [eta.members], star.basepoint)[0])
 
 
@@ -200,10 +196,10 @@ def spectral_measure(
 
 def represent(nu: Mapping[MartinObject, Value], star: StarMatrix) -> tuple[Value, ...]:
     """Max-plus combination sup_w nu(w) + w of minimal columns: one max over
-    the columns on the star's array, +inf everywhere when a weight is +inf."""
+    the columns on the star's array.  Weights are finite or -inf."""
     weights = list(map(coerce_value, nu.values()))
     if _has_pos_inf(weights):
-        return (POS_INF,) * star.n
+        raise DimensionMismatch("measure weights may not be +inf")
     s, reps = star.scaled, [w.representative for w in nu]
     a = s.exact(2)
     columns = Scaled(a[:, reps] - a[star.basepoint, reps], s.q, s.kind)

@@ -7,18 +7,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count() -> int:
-    """Parallelism cap: MAXPLUS_THREADS, with 0 or unset meaning automatic."""
+    """Parallelism cap: MAXPLUS_THREADS, with 0 or unset meaning 4, and
+    never more than the CPU count."""
+    cap = 4
     raw = os.environ.get("MAXPLUS_THREADS", "").strip()
     if raw:
         try:
-            cap = int(raw)
+            cap = int(raw) or cap
         except ValueError:
             raise ValueError(f"MAXPLUS_THREADS must be an integer, got {raw!r}") from None
         if cap < 0:
             raise ValueError("MAXPLUS_THREADS must be nonnegative")
-        if cap > 0:
-            return cap
-    return min(4, os.cpu_count() or 1)
+    return min(cap, os.cpu_count() or 1)
 
 
 def parallel_map(fn, items):

@@ -93,12 +93,12 @@ def _prefix(kernel: KernelMatrix, path: DiscretePath, *grids: Scaled):
     """
     steps = _steps(kernel, path)
     q, kind = joint(steps, *grids)
-    steps = steps.to(q, kind)
+    steps, *grids = (g.to(q, kind) for g in (steps, *grids))
     r = steps.array[0]
     absent = r == NEG_INF
-    arrays = [np.where(absent, 0, r), *(g.to(q, kind).array for g in grids)]
+    arrays = [np.where(absent, 0, r), *(g.array for g in grids)]
     if kind is not float:
-        bound = 2 * (max((g.top for g in grids), default=0) + abs(arrays[0]).sum())
+        bound = 2 * (max((g.top for g in grids), default=0) + int(abs(arrays[0]).sum()))
         if bound >= EXACT_LIMIT or object in (a.dtype for a in arrays):
             arrays = [_python_ints(a) for a in arrays]
     r, *arrays = arrays
@@ -169,24 +169,20 @@ def almost_optimal_excess(
 ) -> Value:
     """Smallest eps for which h(x_0) <= eps + reward(0,j) + h(x_j) for all j.
 
-    -inf absorbs +inf in reward(0,j) + h(x_j), and a +inf on both sides
-    needs no slack.
+    h is finite or -inf (see kernel._function); +inf is only a result: the
+    excess of a finite h(x_0) facing an impossible step or a -inf h(x_j).
+    A -inf h(x_0) needs no slack.
     """
     _check_states(kernel, path)
     h = _function(kernel, h)
     along = [h[x] for x in path.states]
     if along[0] == NEG_INF:
         return 0
-    up = np.array([type(v) is float and v == POS_INF for v in along])
-    values = scale([[NEG_INF if u else v for u, v in zip(up, along)]])
-    c, absent, ((g,),), grid = _prefix(kernel, path, values)
-    up = up[1:]
+    c, absent, ((g,),), grid = _prefix(kernel, path, scale([along]))
     # an impossible step makes every later reward -inf
-    if absent.any() or ((g[1:] == NEG_INF) & ~up).any():
+    if absent.any() or (g[1:] == NEG_INF).any():
         return POS_INF
-    if g[0] == NEG_INF:  # h(x_0) = +inf
-        return 0 if up.all() else POS_INF
-    worst = np.where(up, 0, g[0] - (c[1:] + np.where(up, 0, g[1:]))).max(initial=0)
+    worst = (g[0] - (c[1:] + g[1:])).max(initial=0)
     return grid.value(worst) if worst > 0 else 0
 
 

@@ -7,8 +7,9 @@ neutral is -inf and the multiplicative neutral is 0.  Keeping integers
 as Python ints means every finite-state computation downstream is exact;
 floats only enter through file input or the continuous module.
 
-The +inf element belongs to the completed semiring.  It never appears in
-kernel data, but -inf stays absorbing in products: (-inf) * (+inf) = -inf.
+Inputs (kernel entries, function values, measure weights) are finite or
+-inf: +inf is refused wherever one is read, and only ever appears as a
+result, such as the excess of a path that no slack makes optimal.
 """
 
 from __future__ import annotations

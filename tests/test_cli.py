@@ -383,6 +383,53 @@ def test_an_int_past_the_float_range_beside_an_absent_arc(capsys, tmp_path, name
     assert err.endswith("error: star kernel has -inf entries, so Martin objects are undefined\n")
 
 
+FLOAT_KERNEL = '{"states":["a","b"],"matrix":[[0.5,-1],[-1,-0.5]]}'
+BIG = 10**400
+
+
+@pytest.mark.parametrize("kernel,argv,file,message", [
+    ("F", ["harmonic-check"], {"a": BIG, "b": 0}, "int entry too large for a float kernel"),
+    ("F", ["extremal", "--lam", "auto"], {"a": BIG, "b": 0},
+     "int entry too large for a float kernel"),
+    ("F", ["downhill", "--lam", "auto", "--start", "a"], {"a": BIG, "b": 0},
+     "int entry too large for a float kernel"),
+    ("F", ["represent", "--lam", "auto"], {"a": BIG}, "int entry too large for a float kernel"),
+    ("F", ["star", "--lam", str(BIG)], None, "int entry too large for a float kernel"),
+    ("two", ["represent"], {"a": "+inf"}, "measure weights may not be +inf"),
+    ("two", ["harmonic-check"], {"a": "+inf", "b": 0}, "functions may not take +inf"),
+], ids=["harmonic-check", "extremal", "downhill", "represent", "star-lam", "represent-inf",
+        "harmonic-check-inf"])
+def test_values_past_the_float_range_or_plus_infinity_are_refused(
+    capsys, tmp_path, kernel, argv, file, message
+):
+    if kernel == "F":
+        kernel = tmp_path / "f.json"
+        kernel.write_text(FLOAT_KERNEL)
+    else:
+        kernel = TWO_STATE
+    command, *options = argv
+    args = [command, str(kernel)]
+    if file is not None:
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps(file))
+        args.append(str(path))
+    code, out, err = run(capsys, *args, *options)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_a_lambda_past_the_float_range_stays_exact(capsys):
+    code, out, err = run(capsys, "star", TWO_STATE, "--lam", str(BIG))
+    assert (code, err) == (0, "")
+    star = json.loads(out)["star"]
+    assert star == [[0, -(BIG + 1)], [-(BIG + 1), 0]]
+    assert star == brute_star([[-BIG, -1 - BIG], [-1 - BIG, -BIG]], 4)
+    code, out, err = run(capsys, "martin", TWO_STATE, "--lam", str(BIG))
+    assert (code, err) == (0, "")
+    assert [c["column"] for c in json.loads(out)["columns"]] == [
+        {"a": 0, "b": -(BIG + 1)}, {"a": 0, "b": BIG + 1}
+    ]
+
+
 def golden_cases():
     """Runs of every JSON-writing command whose exit code, stdout and stderr
     are pinned in golden/cli.json; paths are relative to the repository root."""

@@ -98,20 +98,23 @@ def test_apply_worked_example():
 
 @given(st.one_of(sparse_kernels(), sparse_float_kernels(max_n=5), fraction_kernels()),
        st.data())
-def test_apply_lets_minus_infinity_absorb_plus_infinity(kernel, data):
+def test_apply_lets_minus_infinity_absorb_and_refuses_plus_infinity(kernel, data):
     n = kernel.n
     up, down = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    values = st.one_of(st.integers(-5, 5), st.just(NEG_INF), st.just(POS_INF))
+    values = st.one_of(st.integers(-5, 5), st.just(NEG_INF))
     g = data.draw(st.lists(values, min_size=n, max_size=n))
-    g[up], g[down] = POS_INF, NEG_INF
+    g[down] = NEG_INF
     got = apply(kernel, g)
     want = mp_apply(raw_entries(kernel), g)
     assert list(got) == want
     assert list(map(type, got)) == list(map(type, want))
     for x, row in enumerate(kernel.entries):
-        # every term has a -inf factor, a -inf arc into +inf included
+        # every term has a -inf factor
         if all(a == NEG_INF or v == NEG_INF for a, v in zip(row, g)):
             assert same(got[x], NEG_INF)
+    g[up] = POS_INF
+    with pytest.raises(DimensionMismatch, match=r"functions may not take \+inf"):
+        apply(kernel, g)
 
 
 @given(sparse_kernels(max_n=5))
@@ -300,7 +303,7 @@ def test_function_checks_match_the_oracle(kernel, data):
     # a star column of the normalized kernel (harmonic when its state is
     # critical), moved by one step at one state, or by the constant
     # -2^53 - 1 that keeps it harmonic and puts the sums past float64; with
-    # -inf at one state; as floats; and, for apply only, with +inf
+    # -inf at one state; as floats; and with +inf, which every check refuses
     try:
         kernel = normalize(kernel, max_cycle_mean(kernel))
     except NoCycle:
@@ -329,9 +332,9 @@ def test_function_checks_match_the_oracle(kernel, data):
         verdicts = is_harmonic(kernel, g), is_superharmonic(kernel, g)
         assert verdicts == _oracle_verdicts(kernel, g)
     up = h[:x] + [POS_INF] + h[x + 1 :]
-    assert [as_raw(v) for v in apply(kernel, up)] == mp_apply(
-        raw_entries(kernel), [as_raw(v) for v in up]
-    )
+    for check in (apply, is_harmonic, is_superharmonic):
+        with pytest.raises(DimensionMismatch, match=r"functions may not take \+inf"):
+            check(kernel, up)
 
 
 @given(finite_kernels(max_n=5), st.integers(0, 4))
@@ -468,3 +471,10 @@ def test_entries_past_the_float_range_beside_absent_arcs(kernel, t):
     column = [star.entries[i][0] for i in range(kernel.n)]
     assert is_superharmonic(kernel, column)
     assert list(apply(kernel, column)) == mp_apply(raw, [as_raw(v) for v in column])
+
+
+def test_a_positive_cycle_past_the_float_range_beside_an_absent_arc():
+    # the sweep lifts the positive pivot's row, -inf included, by 10^400
+    kernel = KernelMatrix(["a", "b"], [[10**400, NEG_INF], [0, 0]])
+    with pytest.raises(PositiveCycle, match="state 'a'"):
+        kleene_star(kernel)

@@ -50,6 +50,7 @@ from maxplus_martin import (
     spectral_measure,
 )
 from maxplus_martin.errors import AssumptionViolatedWarning
+from maxplus_martin.kernel import scale
 
 TWO_STATE = KernelMatrix(states=("a", "b"), entries=[[0, -1], [-1, 0]])
 
@@ -82,7 +83,7 @@ def test_recurrence_classes_close_a_tolerance_chain():
     source = KernelMatrix(labels(4), [[0.0] * 4] * 4)
     rows = [[0, -3.0, -2.0, -1.0], [-3.0, 0, -3.0, -3.0],
             [2 + 2 * e, -3.0, 0, -1.0], [1 + e, -3.0, 1 + e, 0]]
-    star = StarMatrix(tuple(map(tuple, rows)), source)
+    star = StarMatrix(source, scale(rows))
     assert abs(rows[0][2] + rows[2][0]) > source.tol
     assert recurrence_classes(star) == [[0, 2, 3], [1]]
 
@@ -394,8 +395,8 @@ def test_measures_and_witness_match_the_oracle(kind, data):
                               kernel.tol)
         witness = extremal_witness(h, minimal, star)
         assert witness is (None if want is None else minimal[want])
-    # mu takes any function: -inf and +inf included
-    values = st.one_of(st.integers(-9, 9), st.just(NEG_INF), st.just(POS_INF))
+    # mu takes any function of finite and -inf values
+    values = st.one_of(st.integers(-9, 9), st.just(NEG_INF))
     if vtype is float:
         values = st.one_of(values, st.integers(-9000, 9000).map(lambda m: m / 1000))
     xi = data.draw(st.lists(values, min_size=star.n, max_size=star.n))
@@ -403,4 +404,10 @@ def test_measures_and_witness_match_the_oracle(kind, data):
         got = mu(xi, obj, star)
         assert as_raw(got) == boundary_measure(entries, b, [as_raw(v) for v in xi],
                                                obj.members)
-        assert type(got) is (float if got in (NEG_INF, POS_INF) else vtype)
+        assert type(got) is (float if got == NEG_INF else vtype)
+    # +inf is neither a function value nor a weight
+    spot = data.draw(st.integers(0, star.n - 1))
+    with pytest.raises(DimensionMismatch, match=r"functions may not take \+inf"):
+        mu(xi[:spot] + [POS_INF] + xi[spot + 1 :], objects[0], star)
+    with pytest.raises(DimensionMismatch, match=r"measure weights may not be \+inf"):
+        represent(dict(zip(minimal, [POS_INF] + weights[1:])), star)

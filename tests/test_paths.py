@@ -159,13 +159,16 @@ def test_geodesic_excess_matches_the_oracle(kernel, data):
     star_raw = [[as_raw(v) for v in row] for row in star.entries]
     _agrees(kernel, almost_geodesic_excess(kernel, star, path),
             geodesic_excess(star_raw, raw, times, states))
-    # h with -inf and +inf entries pins -inf * +inf = -inf along the path
+    # h with -inf entries pins -inf absorbing along the path; +inf is refused
     h = data.draw(st.lists(st.integers(-20, 20), min_size=kernel.n, max_size=kernel.n))
     spots = data.draw(st.lists(st.integers(0, kernel.n - 1), max_size=2))
-    for spot, value in zip(spots, (NEG_INF, POS_INF)):
-        h[spot] = value
+    for spot in spots:
+        h[spot] = NEG_INF
     _agrees(kernel, almost_optimal_excess(kernel, path, h),
             optimal_excess(raw, h, times, states))
+    h[data.draw(st.integers(0, kernel.n - 1))] = POS_INF
+    with pytest.raises(DimensionMismatch, match=r"functions may not take \+inf"):
+        almost_optimal_excess(kernel, path, h)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -183,6 +186,16 @@ def test_long_paths_past_2_to_the_53_stay_exact(seed):
     star_raw = [[as_raw(v) for v in row] for row in star.entries]
     want = geodesic_excess(star_raw, raw, path.times, path.states)
     assert almost_geodesic_excess(kernel, star, path) == want
+
+
+def test_h_on_a_finer_denominator_stays_exact():
+    # h's ints reach the kernel's denominator 3 before the 2^53 bound is
+    # taken: h(x_0) - (C_1 + h(x_1)) passes 2^53 only on that scale
+    kernel = normalize(KernelMatrix(["a", "b"], [[0, 0], [0, 0]]), Fraction(1, 3))
+    path = DiscretePath((0, 1), (0, 1))
+    for d in range(8):
+        h = [2**51 + d, -(2**51) - 7 * d]
+        assert almost_optimal_excess(kernel, path, h) == h[0] - (Fraction(-1, 3) + h[1])
 
 
 def test_almost_optimal_worked_example():
@@ -225,9 +238,13 @@ def test_completed_product_convention():
     assert path_reward(kernel, down) == -(10**400)
     assert same(path_reward(kernel, back), NEG_INF)
     assert same(path_reward(kernel, back, 1, 2), 0)
-    # reward + h(x_j): -10^400 + inf = inf needs no slack; -inf + inf = -inf needs +inf
-    assert almost_optimal_excess(kernel, down, [0, POS_INF]) == 0
-    assert same(almost_optimal_excess(kernel, back, [POS_INF, 0]), POS_INF)
+    # reward + h(x_j) is -inf when either side is, which needs +inf slack; +inf
+    # is no value of h
+    assert same(almost_optimal_excess(kernel, down, [0, NEG_INF]), POS_INF)
+    assert same(almost_optimal_excess(kernel, back, [0, 0]), POS_INF)
+    for h in ([0, POS_INF], [POS_INF, 0]):
+        with pytest.raises(DimensionMismatch, match=r"functions may not take \+inf"):
+            almost_optimal_excess(kernel, down, h)
     assert almost_optimal_excess(kernel, down, [10**400, 0]) == 2 * 10**400
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AssumptionViolatedWarning)
