@@ -45,14 +45,12 @@ from .kernel import (
     normalize,
 )
 from .martin import (
-    H,
     MartinObject,
     extremal_witness,
     is_extremal,
     martin_kernel,
     minimal_martin_space,
     mu,
-    natural_kernel,
     recurrence_classes,
     represent,
     spectral_measure,

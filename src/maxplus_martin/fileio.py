@@ -1,18 +1,17 @@
-"""Reading and writing kernels, functions, and canonical JSON reports.
+"""Reading kernels and functions, and writing canonical JSON reports.
 
-Kernels travel as JSON ({"states", "matrix", "basepoint"}) or CSV with a
-header row and a label column.  Minus infinity is spelled "-inf" in both.
+Kernels are read from JSON ({"states", "matrix", "basepoint"}) or CSV with
+a header row and a label column.  Minus infinity is spelled "-inf" in both.
 A kernel file is parsed once, token by token, straight into the kernel's
 array; its `entries` are built from the parsed rows only when something
-asks for them.  Integer entries survive a round trip bit-exactly;
-everything else is rendered with 12 significant digits, which is also the
-precision used in CLI reports so outputs diff cleanly across runs.
+asks for them.  Integer entries are read bit-exactly.  Reports print
+integers exactly and everything else with 12 significant digits, so
+outputs diff cleanly across runs.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from fractions import Fraction
@@ -25,13 +24,19 @@ from .semiring import NEG_INF, Value, coerce_value, format_value, is_finite, par
 
 def value_to_json(v: Value):
     """JSON-encodable form of a semiring value; the infinities as the
-    strings "-inf" and "+inf"."""
+    strings "-inf" and "+inf", and a Fraction past the float range as the
+    string of its 12 significant digits (see format_value)."""
     if isinstance(v, bool):
         raise DimensionMismatch("booleans are not kernel values")
     if isinstance(v, int):
         return v
     if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else float(v)
+        if v.denominator == 1:
+            return int(v)
+        try:
+            return float(v)
+        except OverflowError:
+            return format_value(v)
     v = float(v)
     return v if is_finite(v) else "-inf" if v < 0 else "+inf"
 
@@ -44,19 +49,13 @@ def value_from_json(raw) -> Value:
     return coerce_value(parse_value(raw))
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return value_to_json(obj)
-    raise TypeError(f"not JSON encodable: {obj!r}")
-
-
 def canonical_json(payload) -> str:
     """Deterministic JSON: preserved key order, 12-digit floats, newline.
 
     The text of json.dumps(indent=2), written in one pass: dicts (keys as
     str), lists and tuples nest; a float, numpy's float64 included, prints
     as its 12-digit value and a non-finite one as a string; every other
-    value follows json's encoder, through _json_default.
+    value follows json's encoder, a Fraction as value_to_json gives it.
     """
     out: list = []
     _emit(payload, out, "\n")
@@ -116,15 +115,9 @@ def _atom(value) -> str:
         return int.__repr__(value)
     if isinstance(value, float):
         return json.dumps(value)
-    return _atom(_json_default(value))
-
-
-def kernel_to_dict(kernel: KernelMatrix) -> dict:
-    return {
-        "states": list(kernel.states),
-        "matrix": [[value_to_json(v) for v in row] for row in kernel.entries],
-        "basepoint": kernel.states[kernel.basepoint],
-    }
+    if isinstance(value, Fraction):
+        return _atom(value_to_json(value))
+    raise TypeError(f"not JSON encodable: {value!r}")
 
 
 def _number(token, floats: list):
@@ -175,11 +168,6 @@ def load_kernel_json(path: str) -> KernelMatrix:
     return kernel_from_dict(json.loads(text))
 
 
-def save_kernel_json(kernel: KernelMatrix, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(kernel_to_dict(kernel)))
-
-
 def load_kernel_csv(path: str) -> KernelMatrix:
     """CSV kernel: header row of states, label column, basepoint = first."""
     with open(path, newline="") as fh:
@@ -192,16 +180,6 @@ def load_kernel_csv(path: str) -> KernelMatrix:
     if [row[0].strip() for row in rows[1:]] != states:
         raise DimensionMismatch("row labels must match the header order")
     return KernelMatrix._parsed(states, 0, entries, floats)
-
-
-def save_kernel_csv(kernel: KernelMatrix, path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(kernel.states))
-    for label, row in zip(kernel.states, kernel.entries):
-        writer.writerow([label] + [format_value(v) for v in row])
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
 
 
 def load_kernel(path: str) -> KernelMatrix:

@@ -117,7 +117,13 @@ class Scaled:
         if kind is float:
             return Scaled(_float_array(self.array, self.q), 1, float)
         factor = q // self.q
-        return _seeded(Scaled(self.exact(factor) * factor, q, kind), top=self.top * factor)
+        a = self.exact(factor)
+        if factor < EXACT_LIMIT:
+            a = a * factor
+        else:  # float64 may not hold the factor, and -inf times it may overflow
+            absent = a == NEG_INF
+            a = np.where(absent, NEG_INF, np.where(absent, 0, _python_ints(a)) * factor)
+        return _seeded(Scaled(a, q, kind), top=self.top * factor)
 
     def value(self, v) -> Value:
         """One number of the array as a semiring value."""
@@ -156,24 +162,23 @@ def _has_pos_inf(values) -> bool:
     return any(type(v) is float and v == POS_INF for v in values)
 
 
-def scale(rows, q: int = 1) -> Scaled:
+def scale(rows) -> Scaled:
     """The Scaled form of a grid of semiring values.
 
-    Any finite float makes a float grid.  Otherwise q grows to the lcm of q
-    and every Fraction denominator, and the grid reports Fractions when it
-    holds one or q exceeds 1.
+    Any finite float makes a float grid.  Otherwise q is the lcm of every
+    Fraction denominator, and the grid reports Fractions when it holds one.
     """
     flat = [v for row in rows for v in row]
     if any(issubclass(t, float) for t in _kinds(flat)):
         return Scaled(_float_array(rows), 1, float)
     denominators = [v.denominator for v in flat if isinstance(v, Fraction)]
-    q = math.lcm(q, *denominators)
+    q = math.lcm(*denominators)
     ints = [
         [v if type(v) is float else v.numerator * (q // v.denominator) for v in row]
         for row in rows
     ]
     top = max((abs(v) for row in ints for v in row if type(v) is not float), default=0)
-    kind = Fraction if denominators or q > 1 else int
+    kind = Fraction if denominators else int
     dtype = float if top < EXACT_LIMIT else object
     return _seeded(Scaled(np.array(ints, dtype=dtype), q, kind), top=top)
 

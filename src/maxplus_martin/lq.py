@@ -59,12 +59,7 @@ def _check_lam(lam):
 def finite_horizon_kernel(x, y, t, lam=0.0):
     """Kernel A^t<x,y>, broadcasting over leading axes of x, y and over t."""
     lam = _check_lam(lam)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if y.ndim == 0:
-        y = y.reshape(1)
+    x, y = _vec(x), _vec(y)
     if x.shape[-1] != y.shape[-1]:
         raise DimensionMismatch("endpoints must share a dimension")
     t = np.asarray(t, dtype=float)
@@ -86,8 +81,7 @@ def optimal_horizon(x, y, lam=0.0) -> float:
     finite.  Coincident endpoints give T* = 0, the boundary of the domain.
     """
     lam = _check_lam(lam)
-    x = _vec(x)
-    y = _vec(y)
+    x, y = _vec(x), _vec(y)
     if x.shape != y.shape:
         raise DimensionMismatch("endpoints must share a dimension")
     dot = float(x @ y)
@@ -116,8 +110,7 @@ def star_kernel(x, y, lam=0.0) -> float:
     the kernel in a cancellation-free arrangement.
     """
     lam = _check_lam(lam)
-    x = _vec(x)
-    y = _vec(y)
+    x, y = _vec(x), _vec(y)
     if x.shape != y.shape:
         raise DimensionMismatch("endpoints must share a dimension")
     xx = float(x @ x)

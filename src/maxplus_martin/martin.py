@@ -80,8 +80,8 @@ def martin_kernel(star: StarMatrix) -> list[MartinObject]:
     """Martin columns K<.,y> = A*<.,y> - A*<b,y>, one per recurrence class.
 
     A column is minimal when it is harmonic for the source kernel and its
-    self pairing H(xi, xi) vanishes; the latter is automatic for kernel
-    columns but asserted anyway.
+    self pairing H(xi, xi) = mu_xi(xi) vanishes; the latter is automatic
+    for kernel columns but asserted anyway.
     """
     _require_finite(star)
     return _martin_objects(star, list(enumerate(star.classes)))
@@ -122,20 +122,6 @@ def _martin_objects(star: StarMatrix, classes) -> list[MartinObject]:
     return objects
 
 
-def natural_kernel(star: StarMatrix) -> tuple[tuple[Value, ...], ...]:
-    """Basepoint-normalized kernel A<x,y> = A*<b,x> + A*<x,y> - A*<b,y>.
-
-    Every entry is <= 0 and the basepoint row vanishes.
-    """
-    _require_finite(star)
-    b = star.basepoint
-    e = star.entries
-    return tuple(
-        tuple(e[b][x] + e[x][y] - e[b][y] for y in range(star.n))
-        for x in range(star.n)
-    )
-
-
 def _on_star(h, star: StarMatrix, terms: int, why: str):
     """The star's array and h's row on one scale, exact for sums of `terms`
     numbers, once A h = h holds for the star's source (NotHarmonic(why) if
@@ -169,11 +155,6 @@ def mu(xi: Sequence[Value], eta: MartinObject, star: StarMatrix) -> Value:
     _require_finite(star)
     s, g, grid = _on_grid(star.scaled, _function(star.source, xi))
     return grid.value(_measure(s, g, [eta.members], star.basepoint)[0])
-
-
-def H(eta: MartinObject, xi: MartinObject, star: StarMatrix) -> Value:
-    """Pairing of two boundary classes, H(eta, xi) = mu_{xi}(eta)."""
-    return mu(xi.column, eta, star)
 
 
 def minimal_martin_space(star: StarMatrix) -> list[MartinObject]:

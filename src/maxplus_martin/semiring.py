@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Union
 
@@ -91,6 +92,8 @@ def format_value(v: Value) -> str:
 
     Integers round trip bit exactly; integral floats below 1e15 print as
     integers, and float infinities and NaN as the tokens inf, -inf, nan.
+    A Fraction past the float range prints as f"{v:.12g}" would, its digits
+    found without a float; float() reads that token back as an infinity.
     """
     if isinstance(v, float):
         if v != v:
@@ -101,5 +104,9 @@ def format_value(v: Value) -> str:
             return str(int(v))
         return f"{v:.12g}"
     if isinstance(v, Fraction) and v.denominator != 1:
-        return format_value(float(v))
+        try:
+            return format_value(float(v))
+        except OverflowError:  # one exact division, rounded half to even
+            with localcontext(prec=12):
+                return f"{(Decimal(v.numerator) / v.denominator).normalize():e}"
     return str(v)

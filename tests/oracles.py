@@ -398,6 +398,15 @@ def canonical_json_text(payload) -> str:
     return json.dumps(walk(payload), default=default, indent=2) + "\n"
 
 
+def kernel_csv_text(states, rows) -> str:
+    """Kernel CSV: a header row of states, then each label and its row; an
+    entry that is not already text is written by repr(), -inf as "-inf"."""
+    lines = ["," + ",".join(states)]
+    for label, row in zip(states, rows):
+        lines.append(",".join([label] + [v if isinstance(v, str) else repr(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
 def parse_token(token: str):
     """A scalar from file text: the infinity spellings ("-inf", "+inf",
     "inf", any case; returned as the strings "-inf" and "+inf"), else int(),

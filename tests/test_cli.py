@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from conftest import run_capped
 from oracles import as_raw, brute_star
 
-from maxplus_martin import NEG_INF, kleene_star
+from maxplus_martin import NEG_INF, POS_INF, kleene_star, normalize, parse_value
 from maxplus_martin.cli import main
 from maxplus_martin.errors import AssumptionViolatedWarning
 from maxplus_martin.fileio import load_kernel
@@ -428,6 +429,47 @@ def test_a_lambda_past_the_float_range_stays_exact(capsys):
     assert [c["column"] for c in json.loads(out)["columns"]] == [
         {"a": 0, "b": -(BIG + 1)}, {"a": 0, "b": BIG + 1}
     ]
+
+
+@pytest.mark.parametrize("matrix", [[[0, -1], ["-inf", 0]], [[0, 0], ["-inf", 0]]],
+                         ids=["python-ints", "float64"])
+def test_a_lambda_past_the_float_range_scales_absent_arcs(capsys, tmp_path, matrix):
+    # lam = 1/10^400 puts the kernel on the denominator 10^400, past the
+    # float range: its -inf entries are masked, not multiplied
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "matrix": matrix}))
+    code, out, err = run(capsys, "star", str(path), "--lam", f"1/{BIG}")
+    assert code == 0 and out
+    assert err == "warning: star kernel has -inf entries; Martin operations will refuse it\n"
+    kernel = normalize(load_kernel(str(path)), Fraction(1, BIG))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AssumptionViolatedWarning)
+        star = kleene_star(kernel)
+    raw = [[as_raw(v) for v in row] for row in kernel.entries]
+    assert [[as_raw(v) for v in row] for row in star.entries] == brute_star(raw, 4)
+    assert star.entries[0][1] == matrix[0][1] - Fraction(1, BIG)
+
+
+def test_fractions_past_the_float_range_print_twelve_digits(capsys, tmp_path):
+    # 12 significant digits, as a string that reads back as an infinity
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "matrix": [[0, -BIG], [-BIG, 0]]}))
+    code, out, err = run(capsys, "star", str(path), "--lam", "1/3")
+    assert (code, err) == (0, "")
+    star = json.loads(out)["star"]
+    assert star == [[0, "-1e+400"], ["-1e+400", 0]]
+    assert parse_value(star[0][1]) == NEG_INF
+    kernel = normalize(load_kernel(str(path)), Fraction(1, 3))
+    raw = [[as_raw(v) for v in row] for row in kernel.entries]
+    assert [[as_raw(v) for v in row] for row in kleene_star(kernel).entries] == brute_star(raw, 4)
+    path.write_text(json.dumps({"states": ["a", "b", "c"], "matrix": [
+        ["-inf", BIG, "-inf"], ["-inf", "-inf", 0], [1, "-inf", "-inf"]]}))
+    code, out, err = run(capsys, "eigenvalue", str(path))
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data == {"max_cycle_mean": "3.33333333333e+399",
+                    "exact": str(Fraction(BIG + 1, 3))}
+    assert parse_value(data["max_cycle_mean"]) == POS_INF
 
 
 def golden_cases():

@@ -17,7 +17,7 @@ from conftest import (
     sparse_float_kernels,
     sparse_kernels,
 )
-from oracles import canonical_json_text
+from oracles import canonical_json_text, kernel_csv_text
 from maxplus_martin import (
     DimensionMismatch,
     KernelMatrix,
@@ -40,13 +40,10 @@ from maxplus_martin.fileio import (
     canonical_json,
     function_to_dict,
     kernel_from_dict,
-    kernel_to_dict,
     load_function,
     load_kernel,
     load_kernel_csv,
     load_kernel_json,
-    save_kernel_csv,
-    save_kernel_json,
     value_from_json,
     value_to_json,
 )
@@ -56,6 +53,13 @@ SAMPLE = KernelMatrix(
     entries=[[0, -1, NEG_INF], [-1, 0, -7], [NEG_INF, -2, 0]],
     basepoint=1,
 )
+# SAMPLE as a kernel file's JSON, and its rows as CSV text
+SAMPLE_DICT = {
+    "states": ["a", "b", "c"],
+    "matrix": [[0, -1, "-inf"], [-1, 0, -7], ["-inf", -2, 0]],
+    "basepoint": "b",
+}
+SAMPLE_CSV = kernel_csv_text(SAMPLE.states, SAMPLE.entries)
 
 
 def test_value_conversions():
@@ -65,6 +69,7 @@ def test_value_conversions():
     assert value_to_json(Fraction(4, 2)) == 2
     assert value_to_json(Fraction(1, 2)) == 0.5
     assert value_to_json(1.25) == 1.25
+    assert value_to_json(Fraction(10**400 + 1, 3)) == "3.33333333333e+399"
     assert same(value_from_json("-inf"), NEG_INF)
     assert value_from_json(3) == 3 and isinstance(value_from_json(3), int)
     with pytest.raises(ValueError, match="NaN is not a max-plus value"):
@@ -104,7 +109,7 @@ def test_canonical_json_is_stable_and_readable():
 
 def test_kernel_json_round_trip(tmp_path):
     path = tmp_path / "k.json"
-    save_kernel_json(SAMPLE, str(path))
+    path.write_text(json.dumps(SAMPLE_DICT))
     back = load_kernel_json(str(path))
     assert back == SAMPLE
     assert same(back.entries[0][2], NEG_INF)
@@ -116,35 +121,21 @@ def test_kernel_dict_validation():
         kernel_from_dict({"states": ["a"]})
     with pytest.raises(DimensionMismatch):
         kernel_from_dict({"states": ["a"], "matrix": [[0]], "basepoint": "zz"})
-    d = kernel_to_dict(SAMPLE)
-    assert d["basepoint"] == "b"
-    assert d["matrix"][0][2] == "-inf"
+    back = kernel_from_dict(SAMPLE_DICT)
+    assert back == SAMPLE and back.basepoint == 1
+    assert same(back.entries[0][2], NEG_INF)
     no_base = {"states": ["a", "b"], "matrix": [[0, 0], [0, 0]]}
     assert kernel_from_dict(no_base).basepoint == 0
 
 
 def test_kernel_csv_round_trip(tmp_path):
     path = tmp_path / "k.csv"
-    save_kernel_csv(SAMPLE, str(path))
-    text = path.read_text()
-    assert text.splitlines()[0] == ",a,b,c"
-    assert "-inf" in text
+    path.write_text(SAMPLE_CSV)
     back = load_kernel_csv(str(path))
     assert back.states == SAMPLE.states
     assert back.entries == SAMPLE.entries
     assert back.basepoint == 0, "CSV kernels default to the first state"
-    mixed = KernelMatrix(
-        states=("a", "b", "c"),
-        entries=[
-            [7, Fraction(1, 2), Fraction(6, 3)],
-            [-0.125, NEG_INF, 2.0],
-            [0, 1e13, -3],
-        ],
-    )
-    save_kernel_csv(mixed, str(path))
-    assert path.read_text() == (
-        ",a,b,c\na,7,0.5,2\nb,-0.125,-inf,2\nc,0,10000000000000,-3\n"
-    )
+    path.write_text(",a,b,c\na,7,0.5,2\nb,-0.125,-inf,2\nc,0,10000000000000,-3\n")
     back = load_kernel_csv(str(path))
     assert back.entries == ((7, 0.5, 2), (-0.125, NEG_INF, 2), (0, 10**13, -3))
     assert same(back.entries[1][1], NEG_INF)
@@ -164,8 +155,8 @@ def test_kernel_csv_validation(tmp_path):
 def test_load_kernel_dispatches_on_extension(tmp_path):
     jpath = tmp_path / "k.json"
     cpath = tmp_path / "k.csv"
-    save_kernel_json(SAMPLE, str(jpath))
-    save_kernel_csv(SAMPLE, str(cpath))
+    jpath.write_text(json.dumps(SAMPLE_DICT))
+    cpath.write_text(SAMPLE_CSV)
     assert load_kernel(str(jpath)).entries == SAMPLE.entries
     assert load_kernel(str(cpath)).entries == SAMPLE.entries
 
@@ -205,9 +196,8 @@ def test_shipped_sample_kernel_loads():
 
 def test_integer_entries_survive_json_bit_exactly(tmp_path):
     big = 10**15 + 7
-    kernel = KernelMatrix(states=("a",), entries=[[big]])
     path = tmp_path / "big.json"
-    save_kernel_json(kernel, str(path))
+    path.write_text(json.dumps({"states": ["a"], "matrix": [[big]]}))
     back = load_kernel_json(str(path))
     assert back.entries[0][0] == big
     assert isinstance(back.entries[0][0], int)
@@ -276,9 +266,7 @@ def test_loaded_kernel_equals_the_constructed_one(kernel, data):
         tokens = _tokens(kernel, spell, csv=True)
         path = os.path.join(tmp, "k.csv")
         with open(path, "w") as fh:
-            fh.write("," + ",".join(kernel.states) + "\n")
-            for label, row in zip(kernel.states, tokens):
-                fh.write(",".join([label] + row) + "\n")
+            fh.write(kernel_csv_text(kernel.states, tokens))
         want = KernelMatrix(kernel.states, [[parse_value(t.strip()) for t in row]
                                             for row in tokens])
         _same_kernel(load_kernel(path), want)
@@ -312,9 +300,7 @@ def test_minus_infinity_keeps_the_kind_of_the_finite_entries(kernel):
             path = os.path.join(tmp, "k.csv" if csv else "k.json")
             with open(path, "w") as fh:
                 if csv:
-                    fh.write("," + ",".join(kernel.states) + "\n")
-                    for label, row in zip(kernel.states, tokens):
-                        fh.write(",".join([label] + row) + "\n")
+                    fh.write(kernel_csv_text(kernel.states, tokens))
                 else:
                     json.dump({"states": list(kernel.states), "matrix": tokens}, fh)
             return load_kernel(path)

@@ -87,6 +87,12 @@ def test_format_value_round_trip():
     assert format_value(0.1) == "0.1"
     assert format_value(Fraction(1, 3)) == "0.333333333333"
     assert format_value(1e13) == "10000000000000"
+    # past the float range: 12 significant digits, which read back as an infinity
+    assert format_value(Fraction(10**400 + 1, 3)) == "3.33333333333e+399"
+    assert format_value(Fraction(-2 * 10**400 - 1, 2)) == "-1e+400"
+    assert format_value(Fraction(10**412 - 1, 1000)) == "1e+409"
+    assert format_value(Fraction(25 * 10**400 + 1, 10)) == "2.5e+400"
+    assert parse_value(format_value(Fraction(-(10**400) - 1, 3))) == NEG_INF
 
 
 def test_is_finite():
