@@ -63,7 +63,7 @@ from .paths import (
     is_almost_geodesic,
     is_almost_optimal,
 )
-from .semiring import NEG_INF, oplus, parse_value
+from .semiring import parse_value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,19 +204,15 @@ def cmd_harmonic_check(args) -> int:
 def cmd_represent(args) -> int:
     kernel, lam = _load_normalized(args)
     star = kleene_star(kernel)
-    objects = martin_kernel(star)
-    class_of = {}
-    for obj in objects:
-        for member in obj.members:
-            class_of[member] = obj
+    class_of = {member: obj for obj in martin_kernel(star) for member in obj.members}
     with open(args.measure) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise DimensionMismatch("measure file must map state labels to weights")
     nu = {}
     for label, weight in raw.items():
-        obj = class_of[kernel.index(label)]
-        nu[obj] = oplus(nu.get(obj, NEG_INF), value_from_json(weight))
+        obj, w = class_of[kernel.index(label)], value_from_json(weight)
+        nu[obj] = max(nu.get(obj, w), w)
     values = represent(nu, star)
     _emit(args, {
         "lambda": _lam_field(lam),

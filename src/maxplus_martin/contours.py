@@ -52,37 +52,37 @@ def marching_squares(values, xs, ys, level) -> list[np.ndarray]:
     """Polylines of the level set of node values on the xs x ys lattice."""
     values = np.asarray(values, dtype=float)
     inside = values > level
+    # each cell's inside corners: the level crosses the cells with 1 to 3
+    ins = inside.astype(int)
+    count = ins[:-1, :-1] + ins[1:, :-1] + ins[1:, 1:] + ins[:-1, 1:]
     segments = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            corners = (
-                ((xs[i], ys[j]), values[i, j], inside[i, j]),
-                ((xs[i + 1], ys[j]), values[i + 1, j], inside[i + 1, j]),
-                ((xs[i + 1], ys[j + 1]), values[i + 1, j + 1], inside[i + 1, j + 1]),
-                ((xs[i], ys[j + 1]), values[i, j + 1], inside[i, j + 1]),
-            )
-            crossings = []
-            for e in range(4):
-                (pa, va, ia) = corners[e]
-                (pb, vb, ib) = corners[(e + 1) % 4]
-                if ia != ib:
-                    crossings.append((e, _interp(pa, pb, va, vb, level)))
-            if not crossings:
-                continue
-            if len(crossings) == 2:
-                segments.append((crossings[0][1], crossings[1][1]))
+    for i, j in zip(*np.nonzero(count % 4)):  # row-major, as (i, j) nested loops
+        corners = (
+            ((xs[i], ys[j]), values[i, j], inside[i, j]),
+            ((xs[i + 1], ys[j]), values[i + 1, j], inside[i + 1, j]),
+            ((xs[i + 1], ys[j + 1]), values[i + 1, j + 1], inside[i + 1, j + 1]),
+            ((xs[i], ys[j + 1]), values[i, j + 1], inside[i, j + 1]),
+        )
+        crossings = []
+        for e in range(4):
+            (pa, va, ia) = corners[e]
+            (pb, vb, ib) = corners[(e + 1) % 4]
+            if ia != ib:
+                crossings.append((e, _interp(pa, pb, va, vb, level)))
+        if len(crossings) == 2:
+            segments.append((crossings[0][1], crossings[1][1]))
+        else:
+            # saddle: four crossings in edge order 0,1,2,3; the center
+            # average decides which opposite corners stay connected
+            pts = {e: p for e, p in crossings}
+            center_inside = values[i : i + 2, j : j + 2].mean() > level
+            first_inside = corners[0][2]
+            if center_inside == first_inside:
+                segments.append((pts[0], pts[1]))
+                segments.append((pts[2], pts[3]))
             else:
-                # saddle: four crossings in edge order 0,1,2,3; the center
-                # average decides which opposite corners stay connected
-                pts = {e: p for e, p in crossings}
-                center_inside = values[i : i + 2, j : j + 2].mean() > level
-                first_inside = corners[0][2]
-                if center_inside == first_inside:
-                    segments.append((pts[0], pts[1]))
-                    segments.append((pts[2], pts[3]))
-                else:
-                    segments.append((pts[3], pts[0]))
-                    segments.append((pts[1], pts[2]))
+                segments.append((pts[3], pts[0]))
+                segments.append((pts[1], pts[2]))
     return _chain(segments)
 
 

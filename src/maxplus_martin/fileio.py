@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -24,8 +25,8 @@ from .semiring import NEG_INF, Value, coerce_value, format_value, is_finite, par
 
 def value_to_json(v: Value):
     """JSON-encodable form of a semiring value; the infinities as the
-    strings "-inf" and "+inf", and a Fraction past the float range as the
-    string of its 12 significant digits (see format_value)."""
+    strings "-inf" and "+inf", and a Fraction outside the normal float range
+    as the string of its 12 significant digits (see format_value)."""
     if isinstance(v, bool):
         raise DimensionMismatch("booleans are not kernel values")
     if isinstance(v, int):
@@ -34,9 +35,10 @@ def value_to_json(v: Value):
         if v.denominator == 1:
             return int(v)
         try:
-            return float(v)
-        except OverflowError:
-            return format_value(v)
+            f = float(v)
+        except OverflowError:  # past the float range: a string, as below it
+            f = 0.0
+        return f if abs(f) >= sys.float_info.min else format_value(v)
     v = float(v)
     return v if is_finite(v) else "-inf" if v < 0 else "+inf"
 

@@ -198,13 +198,6 @@ def _seeded(obj, **cached):
     return obj
 
 
-def joint(*grids: Scaled) -> tuple[int, type]:
-    """Denominator and kind that hold the values of every grid exactly."""
-    kinds = {g.kind for g in grids}
-    kind = float if float in kinds else Fraction if Fraction in kinds else int
-    return math.lcm(*(g.q for g in grids)), kind
-
-
 def _grid(rows) -> Grid:
     return tuple(map(tuple, rows))
 
@@ -391,12 +384,21 @@ def _function(kernel: KernelMatrix, g: Sequence[Value]) -> tuple[Value, ...]:
     return g
 
 
-def _on_grid(grid: Scaled, g: Sequence[Value], terms: int = 2):
-    """A grid and a row of values (finite or -inf) on one array: float when
-    either holds a float, an int past the float range being a DimensionMismatch,
-    else on the lcm of their denominators, in Python ints when a sum of `terms`
-    numbers could reach 2^53.  Returns the grid's array, g's row and the grid's
-    Scaled on that scale, which reads values back."""
+def _on_grid(grid: Scaled, g: Scaled | Sequence[Value], terms: int = 2):
+    """A grid and a second grid or a row of values (finite or -inf) on one
+    scale: float when either holds a float, an int past the float range being
+    a DimensionMismatch, else the lcm of their denominators, in Python ints when
+    a sum of `terms` numbers of either could reach 2^53.  Returns both arrays
+    and the grid's Scaled on that scale, which reads values back."""
+    if isinstance(g, Scaled):
+        kinds = {grid.kind, g.kind}
+        kind = float if float in kinds else Fraction if Fraction in kinds else int
+        q = 1 if kind is float else math.lcm(grid.q, g.q)
+        grid, g = grid.to(q, kind), g.to(q, kind)
+        a, b = grid.exact(terms), g.exact(terms)
+        if a.dtype != b.dtype:  # one of them needs Python ints
+            a, b = _python_ints(a), _python_ints(b)
+        return a, b, grid
     kinds = {float} if grid.kind is float else _kinds(g)
     if float in kinds:
         grid = grid.to(1, float)

@@ -178,6 +178,7 @@ def spectral_measure(
 def represent(nu: Mapping[MartinObject, Value], star: StarMatrix) -> tuple[Value, ...]:
     """Max-plus combination sup_w nu(w) + w of minimal columns: one max over
     the columns on the star's array.  Weights are finite or -inf."""
+    _require_finite(star)
     weights = list(map(coerce_value, nu.values()))
     if _has_pos_inf(weights):
         raise DimensionMismatch("measure weights may not be +inf")

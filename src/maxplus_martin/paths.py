@@ -24,18 +24,16 @@ from .errors import (
     NotHarmonic,
 )
 from .kernel import (
-    EXACT_LIMIT,
     KernelMatrix,
     Scaled,
     StarMatrix,
     _adder,
     _fixed,
     _function,
+    _on_grid,
     _python_ints,
     _slack,
-    joint,
     matrix_power,
-    scale,
 )
 from .lq import MAX_GRID_POINTS
 from .martin import MartinObject, _martin_objects, _require_finite, recurrence_classes
@@ -77,32 +75,23 @@ def _steps(kernel: KernelMatrix, path: DiscretePath) -> Scaled:
         dtype = object
     xs = path.states
     out = [powers[dt][x, y] for dt, x, y in zip(dts, xs, xs[1:])]
-    scaled = kernel.scaled
-    return Scaled(np.array([out], dtype=dtype), scaled.q, scaled.kind)
+    return Scaled(np.array([out], dtype=dtype), kernel.scaled.q, kernel.scaled.kind)
 
 
-def _prefix(kernel: KernelMatrix, path: DiscretePath, *grids: Scaled):
-    """C, the impossible steps, the arrays of `grids` on C's scale, and a
-    Scaled that reads values on it.
+def _prefix(kernel: KernelMatrix, path: DiscretePath, other=()):
+    """C, the impossible steps, `other` (a grid or a row of values) on C's
+    scale, and a Scaled that reads values on it.
 
     C_0 = 0 and C_j = r_0 + ... + r_{j-1} over the step rewards, an
     impossible step (-inf) counting 0: the reward from sample i to j is
-    C_j - C_i unless a step k with i <= k < j is impossible.  Exact kinds
-    hold Python ints when two grid entries and two prefixes could sum past
-    2^53.
+    C_j - C_i unless a step k with i <= k < j is impossible.  Every sum the
+    callers form has at most 2L terms (two values of `other` and two
+    prefixes of at most L - 1 steps), which sets the Python-int switch.
     """
-    steps = _steps(kernel, path)
-    q, kind = joint(steps, *grids)
-    steps, *grids = (g.to(q, kind) for g in (steps, *grids))
-    r = steps.array[0]
-    absent = r == NEG_INF
-    arrays = [np.where(absent, 0, r), *(g.array for g in grids)]
-    if kind is not float:
-        bound = 2 * (max((g.top for g in grids), default=0) + int(abs(arrays[0]).sum()))
-        if bound >= EXACT_LIMIT or object in (a.dtype for a in arrays):
-            arrays = [_python_ints(a) for a in arrays]
-    r, *arrays = arrays
-    return np.concatenate(([0], np.cumsum(r))), absent, arrays, steps
+    steps, other, grid = _on_grid(_steps(kernel, path), other, 2 * len(path))
+    absent = steps[0] == NEG_INF
+    r = np.where(absent, 0, steps[0])
+    return np.concatenate(([0], np.cumsum(r))), absent, other, grid
 
 
 def path_reward(
@@ -139,7 +128,7 @@ def almost_geodesic_excess(
             f"geodesic check of {len(path)} samples on {kernel.n} states exceeds "
             f"{MAX_GRID_POINTS} points; shorten the path"
         )
-    c, absent, (s,), grid = _prefix(kernel, path, star.scaled)
+    c, absent, s, grid = _prefix(kernel, path, star.scaled)
     xs = np.array(path.states)
     rows = s[xs[:-1]]
     if absent.any():
@@ -178,7 +167,7 @@ def almost_optimal_excess(
     along = [h[x] for x in path.states]
     if along[0] == NEG_INF:
         return 0
-    c, absent, ((g,),), grid = _prefix(kernel, path, scale([along]))
+    c, absent, g, grid = _prefix(kernel, path, along)
     # an impossible step makes every later reward -inf
     if absent.any() or (g[1:] == NEG_INF).any():
         return POS_INF
@@ -210,7 +199,7 @@ def path_J(star: StarMatrix, path: DiscretePath, s: int, t: int) -> Value:
         raise AssumptionViolated("relative defect needs a finite star kernel")
     if not 0 <= s <= t < len(path):
         raise DimensionMismatch("segment indices out of range")
-    c, absent, (a,), grid = _prefix(star.source, path, star.scaled)
+    c, absent, a, grid = _prefix(star.source, path, star.scaled)
     if absent[s:t].any():
         return NEG_INF
     x0, xs, xt = (path.states[k] for k in (0, s, t))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Union
@@ -92,8 +93,8 @@ def format_value(v: Value) -> str:
 
     Integers round trip bit exactly; integral floats below 1e15 print as
     integers, and float infinities and NaN as the tokens inf, -inf, nan.
-    A Fraction past the float range prints as f"{v:.12g}" would, its digits
-    found without a float; float() reads that token back as an infinity.
+    A Fraction outside the normal float range prints as f"{v:.12g}" would, its
+    digits found without a float; float() reads it back as inf, 0 or a subnormal.
     """
     if isinstance(v, float):
         if v != v:
@@ -105,8 +106,11 @@ def format_value(v: Value) -> str:
         return f"{v:.12g}"
     if isinstance(v, Fraction) and v.denominator != 1:
         try:
-            return format_value(float(v))
-        except OverflowError:  # one exact division, rounded half to even
-            with localcontext(prec=12):
-                return f"{(Decimal(v.numerator) / v.denominator).normalize():e}"
+            f = float(v)
+        except OverflowError:  # past the float range: the exact path, as below it
+            f = 0.0
+        if abs(f) >= sys.float_info.min:
+            return format_value(f)
+        with localcontext(prec=12):  # one exact division, rounded half to even
+            return f"{(Decimal(v.numerator) / v.denominator).normalize():e}"
     return str(v)

@@ -362,6 +362,37 @@ def stationary_horizon(xs, ys, lam, lo=1e-9, hi=60.0, iters=120):
     return 0.5 * (lo + hi)
 
 
+def marching_segments(values, xs, ys, level):
+    """Marching-squares segments of the level set of node values, every
+    cell of the xs x ys lattice scanned in (i, j) order, crossed or not.
+    Each crossing interpolates linearly on its edge; a saddle (four
+    crossings) is split by its cell-centre average."""
+    inside = values > level
+    segments = []
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            corners = [(xs[i], ys[j], i, j), (xs[i + 1], ys[j], i + 1, j),
+                       (xs[i + 1], ys[j + 1], i + 1, j + 1), (xs[i], ys[j + 1], i, j + 1)]
+            points = {}
+            for e in range(4):
+                xa, ya, ia, ja = corners[e]
+                xb, yb, ib, jb = corners[(e + 1) % 4]
+                if inside[ia, ja] != inside[ib, jb]:
+                    va, vb = values[ia, ja], values[ib, jb]
+                    t = (level - va) / (vb - va)
+                    points[e] = (xa + t * (xb - xa), ya + t * (yb - ya))
+            edges = sorted(points)
+            if len(edges) == 2:
+                segments.append((points[edges[0]], points[edges[1]]))
+            elif len(edges) == 4:
+                centre_inside = values[i : i + 2, j : j + 2].mean() > level
+                if centre_inside == inside[i, j]:
+                    segments += [(points[0], points[1]), (points[2], points[3])]
+                else:
+                    segments += [(points[3], points[0]), (points[1], points[2])]
+    return segments
+
+
 def twelve_digits(v: float) -> str:
     """A float with 12 significant digits; integral values below 1e15 as
     integers, non-finite ones as nan, inf and -inf."""

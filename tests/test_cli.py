@@ -439,8 +439,12 @@ def test_a_lambda_past_the_float_range_scales_absent_arcs(capsys, tmp_path, matr
     path = tmp_path / "k.json"
     path.write_text(json.dumps({"states": ["a", "b"], "matrix": matrix}))
     code, out, err = run(capsys, "star", str(path), "--lam", f"1/{BIG}")
-    assert code == 0 and out
+    assert code == 0
     assert err == "warning: star kernel has -inf entries; Martin operations will refuse it\n"
+    # values below the float range print their 12 digits, not 0
+    report = json.loads(out)
+    assert report["lambda"] == "1e-400"
+    assert report["star"] == [[0, {-1: -1, 0: "-1e-400"}[matrix[0][1]]], ["-inf", 0]]
     kernel = normalize(load_kernel(str(path)), Fraction(1, BIG))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AssumptionViolatedWarning)

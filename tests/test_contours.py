@@ -3,12 +3,14 @@ import pytest
 
 from maxplus_martin import DimensionMismatch, EmptyContour, horosphere_contour
 from maxplus_martin.contours import (
+    _chain,
     marching_squares,
     polylines_to_csv,
     polylines_to_svg,
     sample_field,
 )
 from maxplus_martin.lq import stable_quadratic
+from oracles import marching_segments
 
 
 def test_circle_level_set():
@@ -59,6 +61,21 @@ def test_saddle_cells_split_by_center_average():
     # center average 0.5 < level: now the inside corners are cut off
     corners_cut = {tuple(np.round(line.mean(axis=0) > 0.5)) for line in polys}
     assert corners_cut == {(False, False), (True, True)}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_marching_squares_matches_the_full_scan(seed):
+    # small integer fields at integer and half-integer levels: many saddle
+    # cells, and at integer levels many nodes lying exactly on the level
+    rng = np.random.default_rng(seed)
+    shape = rng.integers(2, 12, size=2)
+    values = rng.integers(-2, 3, size=shape).astype(float)
+    xs = np.cumsum(rng.uniform(0.1, 1.0, size=shape[0]))
+    ys = np.cumsum(rng.uniform(0.1, 1.0, size=shape[1]))
+    for level in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        got = marching_squares(values, xs, ys, level)
+        want = _chain(marching_segments(values, xs, ys, level))
+        assert [p.tolist() for p in got] == [p.tolist() for p in want]
 
 
 def test_chaining_orders_are_deterministic():

@@ -70,6 +70,8 @@ def test_value_conversions():
     assert value_to_json(Fraction(1, 2)) == 0.5
     assert value_to_json(1.25) == 1.25
     assert value_to_json(Fraction(10**400 + 1, 3)) == "3.33333333333e+399"
+    assert value_to_json(Fraction(1, 10**400)) == "1e-400"
+    assert value_to_json(Fraction(-7, 10**320)) == "-7e-320"
     assert same(value_from_json("-inf"), NEG_INF)
     assert value_from_json(3) == 3 and isinstance(value_from_json(3), int)
     with pytest.raises(ValueError, match="NaN is not a max-plus value"):

@@ -24,6 +24,7 @@ from maxplus_martin import (
     AssumptionViolated,
     DimensionMismatch,
     KernelMatrix,
+    MartinObject,
     NEG_INF,
     NoCycle,
     NotHarmonic,
@@ -124,8 +125,12 @@ def test_martin_kernel_refuses_nonfinite_star():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AssumptionViolatedWarning)
         star = kleene_star(k)
+        unreachable = kleene_star(KernelMatrix(("a", "b"), [[0, NEG_INF], [-1, 0]]))
     with pytest.raises(AssumptionViolated):
         martin_kernel(star)
+    # b is unreachable from the basepoint a, so its column K<., b> is undefined
+    with pytest.raises(AssumptionViolated):
+        represent({MartinObject((0, 0), 1, (1,), True): 0}, unreachable)
 
 
 def _natural(star):
@@ -398,6 +403,24 @@ def test_measures_and_witness_match_the_oracle(kind, data):
                               kernel.tol)
         witness = extremal_witness(h, minimal, star)
         assert witness is (None if want is None else minimal[want])
+    # exact weights on other denominators than the star's: sup_w nu(w) + K(., w)
+    if vtype is not float:
+        fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(2, 7))
+        nu = data.draw(st.lists(fractions, min_size=len(minimal), max_size=len(minimal)))
+        reps = [w.representative for w in minimal]
+        got = represent(dict(zip(minimal, nu)), star)
+        assert [as_raw(v) for v in got] == [
+            max(w + entries[x][y] - entries[b][y] for w, y in zip(nu, reps))
+            for x in range(star.n)
+        ]
+        # float weights: each column entry is rounded once, after the exact
+        # difference, even where star entries pass 2^53
+        nu = data.draw(st.lists(st.integers(-80, 80).map(lambda m: m / 8),
+                                min_size=len(minimal), max_size=len(minimal)))
+        assert represent(dict(zip(minimal, nu)), star) == tuple(
+            max(w + float(entries[x][y] - entries[b][y]) for w, y in zip(nu, reps))
+            for x in range(star.n)
+        )
     # mu takes any function of finite and -inf values
     values = st.one_of(st.integers(-9, 9), st.just(NEG_INF))
     if vtype is float:

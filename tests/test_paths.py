@@ -140,11 +140,15 @@ def _agrees(kernel, got, want):
 @given(st.one_of(finite_kernels(), sparse_kernels(), fraction_kernels(), float_kernels(),
                  sparse_float_kernels(), huge_kernels), st.data())
 def test_geodesic_excess_matches_the_oracle(kernel, data):
+    source, d = kernel, data.draw(st.integers(2, 7))
     try:
-        kernel = normalize(kernel, max_cycle_mean(kernel))
+        lam = max_cycle_mean(kernel)
+        kernel = normalize(kernel, lam)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AssumptionViolatedWarning)
             star = kleene_star(kernel)
+            # a star on another denominator than its source's: lam + 1/d
+            other = kleene_star(normalize(source, lam + Fraction(1, d)))
     except (NoCycle, PositiveCycle):
         return
     # long enough to cross impossible steps on sparse kernels
@@ -159,6 +163,10 @@ def test_geodesic_excess_matches_the_oracle(kernel, data):
     star_raw = [[as_raw(v) for v in row] for row in star.entries]
     _agrees(kernel, almost_geodesic_excess(kernel, star, path),
             geodesic_excess(star_raw, raw, times, states))
+    # the source's steps against that star join the two denominators
+    _agrees(other.source, almost_geodesic_excess(source, other, path), geodesic_excess(
+        [[as_raw(v) for v in row] for row in other.entries],
+        [[as_raw(v) for v in row] for row in source.entries], times, states))
     # h with -inf entries pins -inf absorbing along the path; +inf is refused
     h = data.draw(st.lists(st.integers(-20, 20), min_size=kernel.n, max_size=kernel.n))
     spots = data.draw(st.lists(st.integers(0, kernel.n - 1), max_size=2))

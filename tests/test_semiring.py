@@ -93,6 +93,12 @@ def test_format_value_round_trip():
     assert format_value(Fraction(10**412 - 1, 1000)) == "1e+409"
     assert format_value(Fraction(25 * 10**400 + 1, 10)) == "2.5e+400"
     assert parse_value(format_value(Fraction(-(10**400) - 1, 3))) == NEG_INF
+    # below the normal float range: 12 significant digits, not 0 or a subnormal's
+    assert format_value(Fraction(1, 10**400)) == "1e-400"
+    assert format_value(Fraction(-1, 10**400)) == "-1e-400"
+    assert format_value(Fraction(1, 3 * 10**400)) == "3.33333333333e-401"
+    assert format_value(Fraction(7, 10**320)) == "7e-320"
+    assert format_value(Fraction(-1, 3 * 10**308)) == "-3.33333333333e-309"
 
 
 def test_is_finite():
