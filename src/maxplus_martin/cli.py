@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .contours import horosphere_contour, polylines_to_csv, polylines_to_svg
+from .contours import marching_squares, polylines_to_csv, polylines_to_svg, sample_field
 from .errors import BothEndpointsZero, DimensionMismatch, EmptyContour, MaxPlusError
 from .fileio import (
     canonical_json,
@@ -106,10 +106,7 @@ def _unit(n: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise DimensionMismatch("direction must be a nonzero vector")
     if abs(norm - 1.0) > 1e-9:
-        print(
-            f"warning: normalizing direction by its norm {norm:.12g}",
-            file=sys.stderr,
-        )
+        warnings.warn(f"normalizing direction by its norm {norm:.12g}")
     return n / norm
 
 
@@ -361,23 +358,20 @@ def cmd_lq_horosphere(args) -> int:
     written = []
     skipped = {}
     for lam in lams:
-        if lam < 0:
-            raise DimensionMismatch("spectral shift must be nonnegative")
         h = horofunction_field(n, lam)
+        xs, ys, vals = sample_field(h, args.bbox, args.resolution)
         levelsets = []
         missing = []
         for level in args.levels:
-            try:
-                polylines = horosphere_contour(h, level, args.bbox, args.resolution)
-            except EmptyContour:
+            polylines = marching_squares(vals, xs, ys, level)
+            if polylines:
+                levelsets.append((level, polylines))
+            else:
                 missing.append(level)
-                continue
-            levelsets.append((level, polylines))
         if missing:
-            print(
-                f"warning: lambda={lam:.12g} skips levels outside the box: "
-                + ",".join(f"{v:.12g}" for v in missing),
-                file=sys.stderr,
+            warnings.warn(
+                f"lambda={lam:.12g} skips levels outside the box: "
+                + ",".join(f"{v:.12g}" for v in missing)
             )
         if not levelsets:
             raise EmptyContour(

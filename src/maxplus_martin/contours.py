@@ -16,6 +16,7 @@ from .errors import DimensionMismatch, EmptyContour
 from .lq import MAX_GRID_POINTS
 
 Bbox = tuple[float, float, float, float]
+SVG_WIDTH = 640  # pixels; the height follows the box's aspect ratio
 
 
 def _axes(bbox: Bbox, resolution: int):
@@ -43,9 +44,9 @@ def sample_field(h, bbox: Bbox, resolution: int):
     return xs, ys, vals
 
 
-def _interp(pa, pb, va, vb, level):
-    t = (level - va) / (vb - va)
-    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+# corner k of a cell is node (i + DI[k], j + DJ[k]); edge k joins corners k, k + 1
+DI = np.array([0, 1, 1, 0, 0])
+DJ = np.array([0, 0, 1, 1, 0])
 
 
 def marching_squares(values, xs, ys, level) -> list[np.ndarray]:
@@ -55,73 +56,54 @@ def marching_squares(values, xs, ys, level) -> list[np.ndarray]:
     # each cell's inside corners: the level crosses the cells with 1 to 3
     ins = inside.astype(int)
     count = ins[:-1, :-1] + ins[1:, :-1] + ins[1:, 1:] + ins[:-1, 1:]
+    ci, cj = np.nonzero(count % 4)  # row-major, as (i, j) nested loops
+    crossed = np.diff(inside[ci + DI[:, None], cj + DJ[:, None]], axis=0)  # (4, cells)
+    cell, e = np.nonzero(crossed.T)  # cell by cell, edges in order
+    ai, aj = ci[cell] + DI[e], cj[cell] + DJ[e]
+    bi, bj = ci[cell] + DI[e + 1], cj[cell] + DJ[e + 1]
+    va, vb = values[ai, aj], values[bi, bj]
+    t = (level - va) / (vb - va)
+    px = xs[ai] + t * (xs[bi] - xs[ai])
+    py = ys[aj] + t * (ys[bj] - ys[aj])
+    points = list(zip(px.tolist(), py.tolist()))
     segments = []
-    for i, j in zip(*np.nonzero(count % 4)):  # row-major, as (i, j) nested loops
-        corners = (
-            ((xs[i], ys[j]), values[i, j], inside[i, j]),
-            ((xs[i + 1], ys[j]), values[i + 1, j], inside[i + 1, j]),
-            ((xs[i + 1], ys[j + 1]), values[i + 1, j + 1], inside[i + 1, j + 1]),
-            ((xs[i], ys[j + 1]), values[i, j + 1], inside[i, j + 1]),
-        )
-        crossings = []
-        for e in range(4):
-            (pa, va, ia) = corners[e]
-            (pb, vb, ib) = corners[(e + 1) % 4]
-            if ia != ib:
-                crossings.append((e, _interp(pa, pb, va, vb, level)))
-        if len(crossings) == 2:
-            segments.append((crossings[0][1], crossings[1][1]))
+    k = 0
+    for i, j, m in zip(ci.tolist(), cj.tolist(), crossed.sum(axis=0).tolist()):
+        p, k = points[k : k + m], k + m
+        if m == 2:
+            segments.append(p)
+        # saddle: the center average decides which opposite corners connect
+        elif (values[i : i + 2, j : j + 2].mean() > level) == inside[i, j]:
+            segments += [(p[0], p[1]), (p[2], p[3])]
         else:
-            # saddle: four crossings in edge order 0,1,2,3; the center
-            # average decides which opposite corners stay connected
-            pts = {e: p for e, p in crossings}
-            center_inside = values[i : i + 2, j : j + 2].mean() > level
-            first_inside = corners[0][2]
-            if center_inside == first_inside:
-                segments.append((pts[0], pts[1]))
-                segments.append((pts[2], pts[3]))
-            else:
-                segments.append((pts[3], pts[0]))
-                segments.append((pts[1], pts[2]))
+            segments += [(p[3], p[0]), (p[1], p[2])]
     return _chain(segments)
-
-
-def _key(p):
-    return (round(p[0], 9), round(p[1], 9))
 
 
 def _chain(segments) -> list[np.ndarray]:
     """Join segments sharing endpoints into polylines, insertion ordered."""
+    ends = [p for segment in segments for p in segment]
+    # end 2s and end 2s + 1 are segment s's; each is rounded once
+    keys = [(round(x, 9), round(y, 9)) for x, y in ends]
     by_end: dict = {}
-    for idx, (a, b) in enumerate(segments):
-        by_end.setdefault(_key(a), []).append(idx)
-        by_end.setdefault(_key(b), []).append(idx)
+    for end, key in enumerate(keys):
+        by_end.setdefault(key, []).append(end // 2)
     used = [False] * len(segments)
     polylines = []
     for start in range(len(segments)):
         if used[start]:
             continue
         used[start] = True
-        a, b = segments[start]
-        chain = [a, b]
-        for grow_front in (False, True):
+        back, front = [2 * start + 1], [2 * start]
+        for line in (back, front):  # grow from the second end, then the first
             while True:
-                tip = _key(chain[0] if grow_front else chain[-1])
-                nxt = None
-                for idx in by_end.get(tip, ()):
-                    if not used[idx]:
-                        nxt = idx
-                        break
+                tip = keys[line[-1]]
+                nxt = next((s for s in by_end[tip] if not used[s]), None)
                 if nxt is None:
                     break
                 used[nxt] = True
-                sa, sb = segments[nxt]
-                point = sb if _key(sa) == tip else sa
-                if grow_front:
-                    chain.insert(0, point)
-                else:
-                    chain.append(point)
-        polylines.append(np.asarray(chain, dtype=float))
+                line.append(2 * nxt + 1 if keys[2 * nxt] == tip else 2 * nxt)
+        polylines.append(np.asarray([ends[i] for i in front[::-1] + back], dtype=float))
     return polylines
 
 
@@ -149,7 +131,7 @@ def polylines_to_csv(levelsets) -> str:
     return "\n".join(rows) + "\n"
 
 
-def polylines_to_svg(levelsets, bbox: Bbox, size: int = 640) -> str:
+def polylines_to_svg(levelsets, bbox: Bbox) -> str:
     """Standalone SVG, one path per polyline; y flipped to point upward.
 
     levelsets is a sequence of (level, polylines) pairs; paths carry their
@@ -160,8 +142,8 @@ def polylines_to_svg(levelsets, bbox: Bbox, size: int = 640) -> str:
     height = ymax - ymin
     stroke = 0.004 * max(width, height)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{math.ceil(size * height / width)}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+        f'height="{math.ceil(SVG_WIDTH * height / width)}" '
         f'viewBox="{xmin:.9g} {-ymax:.9g} {width:.9g} {height:.9g}">',
         f'<rect x="{xmin:.9g}" y="{-ymax:.9g}" width="{width:.9g}" '
         f'height="{height:.9g}" fill="white" stroke="black" '

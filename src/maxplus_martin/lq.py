@@ -40,6 +40,7 @@ Field = Callable[[np.ndarray], np.ndarray]
 # largest sweep grid verify_harmonic_lq will build: 1801^2 (the widest
 # 2-D window in use) fits, while a 1601^3 default in 3-D would need ~100 GB
 MAX_GRID_POINTS = 4_000_000
+GRADIENT_STEP = 1e-6
 
 
 def _vec(x) -> np.ndarray:
@@ -307,10 +308,10 @@ def verify_harmonic_lq(
     return reports
 
 
-def gradient(h: Field, x, spacing: float = 1e-6) -> np.ndarray:
+def gradient(h: Field, x) -> np.ndarray:
     """Central-difference gradient with a refinement cross-check.
 
-    Differences at spacing and 10x spacing must agree; a disagreement
+    Differences at GRADIENT_STEP and 10x that step must agree; a disagreement
     beyond the roundoff budget means h has a kink (or worse) at x and no
     single gradient is trustworthy there.
     """
@@ -322,8 +323,8 @@ def gradient(h: Field, x, spacing: float = 1e-6) -> np.ndarray:
         vals = np.asarray(h(x + offsets), dtype=float)
         return (vals[:d] - vals[d:]) / (2.0 * step)
 
-    g1 = central(spacing)
-    g2 = central(10.0 * spacing)
+    g1 = central(GRADIENT_STEP)
+    g2 = central(10.0 * GRADIENT_STEP)
     scale = float(np.max(np.abs(g1))) if d else 0.0
     if float(np.max(np.abs(g1 - g2))) > 2e-7 + 1e-8 * scale:
         raise GradientSingularity(

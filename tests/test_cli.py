@@ -302,6 +302,61 @@ def test_lq_horosphere_refuses_an_oversized_grid(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# a syntax error on line 3 of a JSON kernel with \r\n line ends
+CRLF_KERNEL = b'{\r\n "states": ["a", "b"], "comment": "CRLF line ends",\r\n"matrix": [[0,]]}\r\n'
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (["lq-star", "--x", ",", "--y", "1"], 1,
+     "error: argument --x: invalid _point value: ','"),
+    (["lq-verify", "--target", "stable", "--t", ","], 1,
+     "error: argument --t: invalid _floats value: ','"),
+    (["lq-horosphere", "--bbox", "1,2,3"], 1,
+     "error: argument --bbox: invalid _bbox value: '1,2,3'"),
+    (["lq-horofunction", "--x", "0,1", "--n", "0,0"], 1,
+     "error: direction must be a nonzero vector"),
+    (["represent", TWO_STATE, "list.json"], 1,
+     "error: measure file must map state labels to weights"),
+    (["lq-horosphere", "--n", "0,0,1"], 1,
+     "error: horosphere figures are drawn in dimension 2"),
+    (["lq-horosphere", "--lambda", "-1"], 1,
+     "error: spectral shift must be finite and nonnegative"),
+    (["lq-horosphere", "--lambda", "nan"], 1,
+     "error: spectral shift must be finite and nonnegative"),
+    (["star", "crlf.json"], 1, "error: Expecting value: line 3 column 15 (char 68)"),
+    (["lq-star", "--x", "0,0", "--y", "0,0"], 0, '  "optimal_horizon": null'),
+], ids=["point", "floats", "bbox", "zero-direction", "measure-list", "dimension-3",
+        "negative-lambda", "nan-lambda", "crlf-json", "lq-star-at-origin"])
+def test_each_cli_path_ends_in_one_line(capsys, tmp_path, monkeypatch, argv, code, line):
+    # an error is one `error:` line on stderr; a JSON position counts
+    # \r\n as one character, as a text-mode read does
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "crlf.json").write_bytes(CRLF_KERNEL)
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects the argument
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    if code:
+        assert (out, err) == ("", line + "\n")
+    else:
+        assert err == "" and line in out.splitlines()
+
+
+def test_lq_horosphere_warnings_obey_the_filters_in_every_run(capsys, tmp_path):
+    argv = ["lq-horosphere", "--lambda", "0", "--lambda", "1", "--levels", "100,1",
+            "--out-dir", str(tmp_path)]
+    for _ in range(2):
+        assert run(capsys, *argv)[::2] == (0, (
+            "warning: lambda=0 skips levels outside the box: 100\n"
+            "warning: lambda=1 skips levels outside the box: 100\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(capsys, *argv)[::2] == (0, "")
+
+
 @pytest.mark.parametrize("length,code,message", [
     ("1999", 0, ""),
     ("2000", 0, ""),
@@ -309,9 +364,10 @@ def test_lq_horosphere_refuses_an_oversized_grid(tmp_path):
     # 2000001 samples on 2 states: the geodesic scan would hold 4000002 values
     ("2000000", 1, "error: geodesic check of 2000001 samples on 2 states exceeds "
                    "4000000 points; shorten the path\n"),
+    ("4000000", 1, "error: path of 4000001 samples exceeds 4000000; lower the length\n"),
     ("1000000000", 1, "error: path of 1000000001 samples exceeds 4000000; "
                       "lower the length\n"),
-], ids=["1999", "2000", "20000", "2e6", "1e9"])
+], ids=["1999", "2000", "20000", "2e6", "4e6", "1e9"])
 def test_downhill_keeps_long_paths_inside_the_grid_budget(tmp_path, length, code, message):
     h = tmp_path / "h.json"
     h.write_text(json.dumps({"a": 0, "b": 1}))

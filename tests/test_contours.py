@@ -9,7 +9,7 @@ from maxplus_martin.contours import (
     polylines_to_svg,
     sample_field,
 )
-from maxplus_martin.lq import stable_quadratic
+from maxplus_martin.lq import horofunction_field, stable_quadratic
 from oracles import marching_segments
 
 
@@ -63,6 +63,14 @@ def test_saddle_cells_split_by_center_average():
     assert corners_cut == {(False, False), (True, True)}
 
 
+def _same_as_the_full_scan(values, xs, ys, level):
+    # the oracle's points are numpy float64 scalars, so _chain keys them by
+    # numpy's rounding, marching_squares' Python floats by round()'s
+    got = marching_squares(values, xs, ys, level)
+    want = _chain(marching_segments(values, xs, ys, level))
+    assert [p.tolist() for p in got] == [p.tolist() for p in want]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_marching_squares_matches_the_full_scan(seed):
     # small integer fields at integer and half-integer levels: many saddle
@@ -73,9 +81,30 @@ def test_marching_squares_matches_the_full_scan(seed):
     xs = np.cumsum(rng.uniform(0.1, 1.0, size=shape[0]))
     ys = np.cumsum(rng.uniform(0.1, 1.0, size=shape[1]))
     for level in (-1.0, -0.5, 0.0, 0.5, 1.0):
-        got = marching_squares(values, xs, ys, level)
-        want = _chain(marching_segments(values, xs, ys, level))
-        assert [p.tolist() for p in got] == [p.tolist() for p in want]
+        _same_as_the_full_scan(values, xs, ys, level)
+    # a normal field at levels equal to some of its own node values
+    values = rng.normal(size=shape)
+    for level in rng.choice(values.ravel(), size=3):
+        _same_as_the_full_scan(values, xs, ys, float(level))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_marching_squares_matches_the_full_scan_on_horofunctions(lam):
+    xs, ys, values = sample_field(horofunction_field((0, 1), lam), (-3, -3, 3, 3), 64)
+    for level in (-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0):
+        _same_as_the_full_scan(values, xs, ys, level)
+
+
+def test_chain_grows_the_second_end_then_the_first():
+    # the lowest unused segment starts a polyline, which grows from its
+    # second end, then from its first, taking the lowest unused segment at
+    # each tip, whichever way round that segment is stored
+    a, b, c, d, e = [0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [-1.0, 0.0]
+    segments = [(b, c), (a, b), (d, c), (e, a), (c, e)]
+    assert [p.tolist() for p in _chain(segments)] == [[c, e, a, b, c, d]]
+    # a closed loop is walked once round from the second end
+    loop = [(a, b), (c, a), (b, c)]
+    assert [p.tolist() for p in _chain(loop)] == [[a, b, c, a]]
 
 
 def test_chaining_orders_are_deterministic():
