@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -80,22 +81,27 @@ def _scalar(text: str):
     return parse_value(text)
 
 
-def _point(text: str) -> np.ndarray:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty vector")
-    return np.array([float(p) for p in parts])
+def _finite(text: str) -> float:
+    """A finite float; argparse reports a ValueError as an invalid value."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
-def _floats(text: str) -> list[float]:
+def _floats(text: str, number=float) -> list[float]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty list")
-    return [float(p) for p in parts]
+    return [number(p) for p in parts]
+
+
+def _point(text: str) -> np.ndarray:
+    return np.array(_floats(text, _finite))
 
 
 def _bbox(text: str) -> tuple[float, float, float, float]:
-    vals = _floats(text)
+    vals = _floats(text, _finite)
     if len(vals) != 4:
         raise ValueError("bounding box needs xmin,ymin,xmax,ymax")
     return tuple(vals)
@@ -354,6 +360,9 @@ def cmd_lq_horosphere(args) -> int:
     if len(n) != 2:
         raise DimensionMismatch("horosphere figures are drawn in dimension 2")
     lams = args.lam if args.lam is not None else [0.0, 1.0]
+    for i, lam in enumerate(lams):
+        if lams.index(lam) < i:  # equal as floats, so 0 and 0.0 repeat
+            raise DimensionMismatch(f"--lambda {lam:.12g} is given twice")
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
     skipped = {}
@@ -504,14 +513,14 @@ def build_parser() -> _Parser:
                    help="ambient dimension (default 2)")
     p.add_argument("--probes", type=int, default=12,
                    help="number of random probe points (default 12)")
-    p.add_argument("--radius", type=float, default=2.0,
+    p.add_argument("--radius", type=_finite, default=2.0,
                    help="probe coordinates are drawn from [-radius, radius]")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--half-width", type=float, default=None,
+    p.add_argument("--half-width", type=_finite, default=None,
                    help="sweep window half width (default 4 * max probe)")
-    p.add_argument("--spacing", type=float, default=0.01,
+    p.add_argument("--spacing", type=_finite, default=0.01,
                    help="sweep grid spacing (default 0.01)")
-    p.add_argument("--tol", type=float, default=1e-3,
+    p.add_argument("--tol", type=_finite, default=1e-3,
                    help="residual threshold for the harmonic verdict")
     p.add_argument("--per-probe", action="store_true",
                    help="include per-probe residuals and maximizers")

@@ -12,6 +12,7 @@ outputs diff cleanly across runs.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -170,15 +171,37 @@ def load_kernel_json(path: str) -> KernelMatrix:
     return kernel_from_dict(json.loads(text))
 
 
+def _cell(cell: str, floats: list):
+    """A CSV kernel cell, read as _number reads its stripped text but with
+    one strip and one lower-casing: an int unless it holds a ".", "e" or "n"
+    (no int literal, and no infinity, does), else a float, -inf for an
+    absent arc; every other float is also appended to floats."""
+    text = cell.strip()
+    low = text.lower()
+    if "." not in low and "e" not in low and "n" not in low:
+        try:
+            return int(low)
+        except ValueError:
+            pass
+    try:
+        v = float(low)
+    except ValueError:
+        raise ValueError(f"not a max-plus value: {text!r}") from None
+    if v != NEG_INF:
+        floats.append(v)
+    return v
+
+
 def load_kernel_csv(path: str) -> KernelMatrix:
     """CSV kernel: header row of states, label column, basepoint = first."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if any(map(str.strip, r))]
+    with open(path, "rb") as fh:
+        text = fh.read().decode()
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if any(map(str.strip, r))]
     if len(rows) < 2:
         raise DimensionMismatch("kernel CSV needs a header and data rows")
     states = [c.strip() for c in rows[0][1:]]
     floats: list = []
-    entries = [[_number(c.strip(), floats) for c in row[1:]] for row in rows[1:]]
+    entries = [[_cell(c, floats) for c in row[1:]] for row in rows[1:]]
     if [row[0].strip() for row in rows[1:]] != states:
         raise DimensionMismatch("row labels must match the header order")
     return KernelMatrix._parsed(states, 0, entries, floats)

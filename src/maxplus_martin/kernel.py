@@ -19,7 +19,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +51,25 @@ def _freeze(rows) -> Grid:
         return tuple(tuple(coerce_value(v) for v in row) for row in rows)
     except ValueError as exc:
         raise DimensionMismatch(str(exc)) from None
+
+
+class _lazy:
+    """A read-only attribute computed on its first read and stored on the
+    instance, so later reads find it there: functools.cached_property
+    without the lock it takes on Python 3.11 (3.12 dropped it).  Only
+    parallel_map runs threads, on LQ sweeps that read none of these."""
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 def _python_ints(array: np.ndarray) -> np.ndarray:
@@ -95,7 +113,7 @@ class Scaled:
     q: int
     kind: type
 
-    @cached_property
+    @_lazy
     def top(self):
         """A bound on the finite entries' magnitude, an int on exact kinds: their
         largest magnitude unless the operation that made the array seeded one."""
@@ -286,19 +304,19 @@ class KernelMatrix:
     def n(self) -> int:
         return len(self.states)
 
-    @cached_property
+    @_lazy
     def scaled(self) -> Scaled:
         """The entries as one array, built once per kernel."""
         return scale(self.entries)
 
-    @cached_property
+    @_lazy
     def entries(self) -> Grid:
         """The entries as semiring values: from the rows a file was read
         into, which keep each entry's type, or else from the array."""
         rows = self.__dict__.pop("_rows", None)
         return _grid(self.scaled.values() if rows is None else rows)
 
-    @cached_property
+    @_lazy
     def tol(self) -> float:
         """Float slack of every comparison on this kernel (see _tol), from
         the largest entry of its float array, ints included; TOL when exact."""
@@ -509,14 +527,14 @@ class StarMatrix:
     def basepoint(self) -> int:
         return self.source.basepoint
 
-    @cached_property
+    @_lazy
     def entries(self) -> Grid:
         rows = self.scaled.values()
         for i in range(self.n):
             rows[i][i] = 0
         return _grid(rows)
 
-    @cached_property
+    @_lazy
     def finite(self) -> bool:
         """True when every entry is finite (the standing assumption)."""
         return not (self.scaled.array == NEG_INF).any()
@@ -524,21 +542,29 @@ class StarMatrix:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @cached_property
+    @_lazy
     def labels(self) -> np.ndarray:
-        """Each state's recurrence class as its least member: the components
-        of x ~ y, closed explicitly since a float tolerance could break its
-        transitivity."""
+        """Each state's recurrence class as its least member: the least
+        relative of each state under x ~ y.
+
+        On an exact star x ~ y is an equivalence: for x ~ z and z ~ y,
+        A*<x,y> + A*<y,x> is at least the sum of the two pairs' sums, 0, and
+        at most 0 since no cycle is positive.  A float tolerance can break
+        transitivity, so float stars close the relation explicitly.
+        """
         s = self.scaled.array
-        same = _close(_adder(s)(s, s.T), 0, _slack(self.source, self.scaled.kind))
+        kind = self.scaled.kind
+        same = _close(_adder(s)(s, s.T), 0, _slack(self.source, kind))
         label = same.argmax(axis=1)  # the least relative (the diagonal is 0)
+        if kind is not float:
+            return label
         while True:  # until every state holds the least label of its relatives
             least = np.minimum.reduce(np.where(same, label, self.n), axis=1)
             if least.tolist() == label.tolist():
                 return label
             label = least
 
-    @cached_property
+    @_lazy
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Recurrence classes (martin.recurrence_classes), each sorted and
         listed by its least member."""

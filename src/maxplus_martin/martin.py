@@ -81,7 +81,7 @@ def martin_kernel(star: StarMatrix) -> list[MartinObject]:
 
     A column is minimal when it is harmonic for the source kernel and its
     self pairing H(xi, xi) = mu_xi(xi) vanishes; the latter is automatic
-    for kernel columns but asserted anyway.
+    for kernel columns, and asserted on float stars (see _martin_objects).
     """
     _require_finite(star)
     return _martin_objects(star, list(enumerate(star.classes)))
@@ -92,6 +92,11 @@ def _martin_objects(star: StarMatrix, classes) -> list[MartinObject]:
 
     One product A K over the columns decides every harmonic flag: exact on
     the integer arrays of int and Fraction kernels, within tol on floats.
+
+    The self pairing max over x ~ y of A*<b,x> + A*<x,y> - A*<b,y> is
+    exactly 0 on an exact star: closure bounds every term by 0, and x = y
+    with the zero diagonal attains it.  Only float stars, whose classes a
+    tolerance closes, have it computed and checked.
     """
     scaled = star.scaled
     s = scaled.array
@@ -102,17 +107,18 @@ def _martin_objects(star: StarMatrix, classes) -> list[MartinObject]:
     slack = _slack(star.source, scaled.kind)
     image = _product(star.source.scaled.exact(2 * star.n), columns)
     harmonic = np.logical_and.reduce(_close(image, columns, slack)).tolist()
-    # H(xi, xi) = max over the members x of A*<b,x> + K<x,y>; a class is
-    # labelled by its least member, its representative
-    own = star.labels[:, None] == reps
-    self_pairs = np.maximum.reduce(np.where(own, s[b][:, None] + columns, -np.inf))
-    paired = _close(self_pairs, 0, slack).tolist()
-    if False in paired:
-        i = paired.index(False)
-        raise AssumptionViolated(
-            f"self pairing of class {classes[i][0]} is "
-            f"{scaled.value(self_pairs[i])!r}, expected 0"
-        )
+    if scaled.kind is float:
+        # H(xi, xi) = max over the members x of A*<b,x> + K<x,y>; a class is
+        # labelled by its least member, its representative
+        own = star.labels[:, None] == reps
+        self_pairs = np.maximum.reduce(np.where(own, s[b][:, None] + columns, -np.inf))
+        paired = _close(self_pairs, 0, slack).tolist()
+        if False in paired:
+            i = paired.index(False)
+            raise AssumptionViolated(
+                f"self pairing of class {classes[i][0]} is "
+                f"{float(self_pairs[i])!r}, expected 0"
+            )
     objects = []
     for (cid, members), column, flag in zip(classes, scaled.values(columns.T), harmonic):
         if members[0] == b:

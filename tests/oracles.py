@@ -176,6 +176,29 @@ def brute_star(entries, horizon):
     return best
 
 
+def recurrence_labels(star):
+    """Each state's least relative under the transitive closure of
+    x ~ y iff star[x][y] + star[y][x] = 0, closed by Warshall's triple loop."""
+    n = len(star)
+    rel = [
+        [x == y or NEG not in (star[x][y], star[y][x]) and star[x][y] + star[y][x] == 0
+         for y in range(n)]
+        for x in range(n)
+    ]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
+    return [rel[x].index(True) for x in range(n)]
+
+
+def self_pairing(star, b, members):
+    """H(xi, xi) of the class `members`, xi the Martin column of its first
+    member y: max over x in the class of A*[b][x] + A*[x][y] - A*[b][y]."""
+    y = members[0]
+    return max(star[b][x] + star[x][y] - star[b][y] for x in members)
+
+
 def enumerate_cycle_means(entries):
     """Mean weights of all simple cycles, as exact Fractions.
 

@@ -325,8 +325,28 @@ CRLF_KERNEL = b'{\r\n "states": ["a", "b"], "comment": "CRLF line ends",\r\n"mat
      "error: spectral shift must be finite and nonnegative"),
     (["star", "crlf.json"], 1, "error: Expecting value: line 3 column 15 (char 68)"),
     (["lq-star", "--x", "0,0", "--y", "0,0"], 0, '  "optimal_horizon": null'),
+    (["lq-verify", "--target", "stable", "--radius", "nan"], 1,
+     "error: argument --radius: invalid _finite value: 'nan'"),
+    (["lq-verify", "--target", "stable", "--radius", "inf"], 1,
+     "error: argument --radius: invalid _finite value: 'inf'"),
+    (["lq-verify", "--target", "stable", "--half-width", "inf", "--probes", "1"], 1,
+     "error: argument --half-width: invalid _finite value: 'inf'"),
+    (["lq-verify", "--target", "stable", "--half-width", "3", "--spacing", "nan"], 1,
+     "error: argument --spacing: invalid _finite value: 'nan'"),
+    (["lq-verify", "--target", "stable", "--tol", "nan"], 1,
+     "error: argument --tol: invalid _finite value: 'nan'"),
+    (["lq-horosphere", "--bbox", "1,-inf,3,3"], 1,
+     "error: argument --bbox: invalid _bbox value: '1,-inf,3,3'"),
+    (["lq-star", "--x", "nan,0", "--y", "1,0"], 1,
+     "error: argument --x: invalid _point value: 'nan,0'"),
+    (["lq-flow", "--x0", "nan,0"], 1,
+     "error: argument --x0: invalid _point value: 'nan,0'"),
+    (["lq-horofunction", "--x", "1,0", "--n", "inf,0"], 1,
+     "error: argument --n: invalid _point value: 'inf,0'"),
 ], ids=["point", "floats", "bbox", "zero-direction", "measure-list", "dimension-3",
-        "negative-lambda", "nan-lambda", "crlf-json", "lq-star-at-origin"])
+        "negative-lambda", "nan-lambda", "crlf-json", "lq-star-at-origin",
+        "nan-radius", "inf-radius", "inf-half-width", "nan-spacing", "nan-tol",
+        "inf-bbox", "nan-point", "nan-x0", "inf-direction"])
 def test_each_cli_path_ends_in_one_line(capsys, tmp_path, monkeypatch, argv, code, line):
     # an error is one `error:` line on stderr; a JSON position counts
     # \r\n as one character, as a text-mode read does
@@ -343,6 +363,29 @@ def test_each_cli_path_ends_in_one_line(capsys, tmp_path, monkeypatch, argv, cod
         assert (out, err) == ("", line + "\n")
     else:
         assert err == "" and line in out.splitlines()
+
+
+@pytest.mark.parametrize("second", ["0", "0.0"])
+def test_lq_horosphere_refuses_a_repeated_lambda(capsys, tmp_path, second):
+    # lambdas compare as floats, and nothing is written
+    target = tmp_path / "figs"
+    assert run(capsys, "lq-horosphere", "--lambda", "0", "--lambda", second,
+               "--out-dir", str(target)) == (1, "", "error: --lambda 0 is given twice\n")
+    assert not target.exists()
+
+
+def test_lq_horosphere_two_distinct_lambdas_match_the_default(capsys, tmp_path):
+    runs = []
+    for argv in ([], ["--lambda", "0", "--lambda", "1"]):
+        out_dir = tmp_path / str(len(runs))
+        code, out, err = run(capsys, "lq-horosphere", *argv, "--resolution", "64",
+                             "--out-dir", str(out_dir))
+        assert (code, err) == (0, "")
+        files = json.loads(out)["files"]
+        assert [os.path.basename(p) for p in files] == [
+            "horospheres_lambda0.svg", "horospheres_lambda1.svg"]
+        runs.append((out.replace(str(out_dir), "DIR"), [open(p).read() for p in files]))
+    assert runs[0] == runs[1]
 
 
 def test_lq_horosphere_warnings_obey_the_filters_in_every_run(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import tempfile
@@ -17,7 +18,8 @@ from conftest import (
     sparse_float_kernels,
     sparse_kernels,
 )
-from oracles import canonical_json_text, kernel_csv_text
+from oracles import canonical_json_text, kernel_csv_text, parse_token
+from test_semiring import TOKENS
 from maxplus_martin import (
     DimensionMismatch,
     KernelMatrix,
@@ -152,6 +154,73 @@ def test_kernel_csv_validation(tmp_path):
     path.write_text(",a,b\n")
     with pytest.raises(DimensionMismatch):
         load_kernel_csv(str(path))
+
+
+def _csv_cell(token: str) -> str:
+    """token as one CSV cell, quoted when it holds a separator, a quote or
+    a line end."""
+    if any(c in token for c in ',"\r\n'):
+        return '"' + token.replace('"', '""') + '"'
+    return token
+
+
+@pytest.mark.parametrize("cell", [_csv_cell(t) for t in TOKENS] + ['"1"', "-inf"])
+def test_csv_cells_read_as_the_oracle_reads_them(tmp_path, cell):
+    # the value and type parse_token gives the cell's stripped text, or the
+    # loader's error for it: its message, the kernel's NaN and +inf checks
+    path = tmp_path / "k.csv"
+    path.write_text(f",a,b\na,0,{cell}\nb,0,0\n", encoding="utf-8")
+    text = next(csv.reader([cell]))[0].strip() if cell else ""
+    try:
+        want = parse_token(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            load_kernel_csv(str(path))
+        assert type(info.value) is ValueError and str(info.value) == str(exc)
+        return
+    want = {"-inf": NEG_INF, "+inf": POS_INF}.get(want, want)
+    if want == POS_INF or want != want:
+        with pytest.raises(DimensionMismatch) as info:
+            load_kernel_csv(str(path))
+        assert str(info.value) == (
+            "NaN is not a max-plus value" if want != want else "kernel entries may not be +inf")
+        return
+    assert same(load_kernel_csv(str(path)).entries[0][1], want)
+
+
+CSV_BYTES = b",a,b\na,0,-1\nb,-2.5,0\n"
+
+
+@pytest.mark.parametrize("data", [
+    CSV_BYTES.replace(b"\n", b"\r\n"),
+    CSV_BYTES.replace(b"\n", b"\r"),
+    CSV_BYTES.rstrip(b"\n"),
+    b"\n\n" + CSV_BYTES.replace(b"\n", b"\n \n,,\n"),
+    b"\xef\xbb\xbf" + CSV_BYTES,
+    b"\xef\xbb\xbf" + CSV_BYTES.replace(b"\n", b"\r\n"),
+], ids=["crlf", "cr", "no-final-newline", "blank-lines", "bom", "bom-crlf"])
+def test_csv_line_ends_blank_lines_and_bom(tmp_path, data):
+    # every newline spelling, blank rows and a UTF-8 byte order mark (kept in
+    # the ignored corner cell) give the kernel of the plain file
+    path = tmp_path / "k.csv"
+    path.write_bytes(data)
+    kernel = load_kernel_csv(str(path))
+    assert kernel.states == ("a", "b")
+    assert kernel.entries == ((0, -1), (-2.5, 0))
+    assert [type(v) for row in kernel.entries for v in row] == [int, int, float, int]
+
+
+@pytest.mark.parametrize("data,message", [
+    (CSV_BYTES[:8] + b"\xff" + CSV_BYTES[8:],
+     "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+    (b"\xc3", "'utf-8' codec can't decode byte 0xc3 in position 0: unexpected end of data"),
+])
+def test_csv_invalid_utf8_is_one_error(tmp_path, data, message):
+    path = tmp_path / "k.csv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as info:
+        load_kernel_csv(str(path))
+    assert str(info.value) == message
 
 
 def test_load_kernel_dispatches_on_extension(tmp_path):

@@ -18,7 +18,14 @@ from conftest import (
     sparse_float_kernels,
     sparse_kernels,
 )
-from oracles import as_raw, boundary_measure, extremal_class
+from oracles import (
+    as_raw,
+    boundary_measure,
+    brute_star,
+    extremal_class,
+    recurrence_labels,
+    self_pairing,
+)
 
 from maxplus_martin import (
     AssumptionViolated,
@@ -75,16 +82,56 @@ def test_recurrence_classes_are_cached_and_handed_out_fresh():
     assert recurrence_classes(star) == [[0], [1]]
 
 
-def test_recurrence_classes_close_a_tolerance_chain():
+def _tolerance_chain() -> StarMatrix:
     # s3 ~ s0 and s3 ~ s2 within the tolerance (1e-9 here), s0 ~ s2 only
-    # through them: the classes are the closure
+    # through them
     e = 0.6e-9
     source = KernelMatrix(labels(4), [[0.0] * 4] * 4)
     rows = [[0, -3.0, -2.0, -1.0], [-3.0, 0, -3.0, -3.0],
             [2 + 2 * e, -3.0, 0, -1.0], [1 + e, -3.0, 1 + e, 0]]
-    star = StarMatrix(source, scale(rows))
     assert abs(rows[0][2] + rows[2][0]) > source.tol
-    assert recurrence_classes(star) == [[0, 2, 3], [1]]
+    return StarMatrix(source, scale(rows))
+
+
+def test_recurrence_classes_close_a_tolerance_chain():
+    # the classes are the closure
+    assert recurrence_classes(_tolerance_chain()) == [[0, 2, 3], [1]]
+
+
+def test_float_stars_still_check_the_self_pairing():
+    # the closed class {0, 2, 3} pairs with itself to A*<0,2> + A*<2,0> > tol,
+    # which only the float stars' check sees
+    with pytest.raises(AssumptionViolated) as info:
+        martin_kernel(_tolerance_chain())
+    assert str(info.value) == "self pairing of class 0 is 1.2000000992884452e-09, expected 0"
+
+
+@given(st.one_of(finite_kernels(max_n=6), fraction_kernels(), sparse_kernels(max_n=6)))
+def test_exact_stars_have_transitive_classes_and_zero_self_pairings(kernel):
+    # the theorems exact stars rely on in place of the float repairs: the
+    # least relative under x ~ y is already the closure's, and every class
+    # of a finite star pairs with itself to exactly 0
+    try:
+        kernels = [kernel, normalize(kernel, max_cycle_mean(kernel))]
+    except NoCycle:
+        kernels = [kernel]
+    for k in kernels:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AssumptionViolatedWarning)
+                star = kleene_star(k)
+        except PositiveCycle:
+            continue
+        oracle = brute_star(k.entries, k.n)
+        want = recurrence_labels(oracle)
+        assert star.labels.tolist() == want
+        if not star.finite:
+            continue
+        classes = [[x for x in range(k.n) if want[x] == root] for root in sorted(set(want))]
+        for members in classes:
+            pairing = self_pairing(oracle, k.basepoint, members)
+            assert pairing == 0 and type(pairing) in (int, Fraction)
+        assert [list(obj.members) for obj in martin_kernel(star)] == classes
 
 
 @given(finite_kernels(max_n=5))
